@@ -20,8 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..core.config import AnalyzerConfig
-from ..dut.active_rc import ActiveRCLowpass, FilterComponents
+from ..dut.active_rc import FilterComponents
+from ..dut.statespace import frequency_responses, stack_by_order
+from ..errors import ConfigError
 from .limits import SpecMask
 from .program import BISTProgram
 
@@ -94,16 +98,31 @@ class YieldReport:
         )
 
 
-def _truly_good(dut: ActiveRCLowpass, mask: SpecMask, frequencies) -> bool:
-    for f in frequencies:
-        limits = mask.limits_at(f)
-        if limits is None:
-            continue
-        lo, hi = limits
-        gain = dut.gain_db_at(f)
-        if not lo <= gain <= hi:
-            return False
-    return True
+def _truly_good(duts, mask: SpecMask, frequencies) -> list[bool]:
+    """Each device's true spec compliance at the masked frequencies.
+
+    One stacked solve per frequency covers the whole population
+    (:func:`repro.dut.statespace.frequency_responses`, the arithmetic of
+    every device's own ``frequency_response``); the gain in dB is formed
+    as :meth:`~repro.dut.base.DUT.gain_db_at` forms it.  Both execution
+    backends call this, the reference one with a single device.
+    """
+    models = [dut.state_space() for dut in duts]
+    if any(model is None for model in models):
+        raise ConfigError("a yield lot needs devices with a state-space model")
+    good = np.ones(len(models), dtype=bool)
+    for rows, stack in stack_by_order(models):
+        for f in frequencies:
+            limits = mask.limits_at(f)
+            if limits is None:
+                continue
+            lo, hi = limits
+            h = frequency_responses(stack.a, stack.b, stack.c, stack.d, f)
+            gain = np.hypot(h.real, h.imag)
+            with np.errstate(divide="ignore"):
+                gain_db = np.where(gain > 0, 20.0 * np.log10(gain), -np.inf)
+            good[rows] &= (lo <= gain_db) & (gain_db <= hi)
+    return good.tolist()
 
 
 def default_yield_config(program: BISTProgram) -> AnalyzerConfig:

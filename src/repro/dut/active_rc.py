@@ -206,6 +206,9 @@ class ActiveRCLowpass(DUT):
     def frequency_response(self, frequencies) -> np.ndarray:
         return self._core.frequency_response(frequencies)
 
+    def state_space(self) -> StateSpaceDUT:
+        return self._core
+
     def reset(self) -> None:
         self._core.reset()
 

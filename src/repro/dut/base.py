@@ -10,10 +10,14 @@ the lab's reference instruments play in the paper.
 from __future__ import annotations
 
 import abc
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..signals.waveform import Waveform
+
+if TYPE_CHECKING:
+    from .statespace import StateSpaceDUT
 
 
 class DUT(abc.ABC):
@@ -59,6 +63,18 @@ class DUT(abc.ABC):
         """
         self.reset()
         return self.process(Waveform(samples, sample_rate)).samples
+
+    def state_space(self) -> "StateSpaceDUT | None":
+        """The exact LTI model behind this device, or None (default).
+
+        A device that returns a model promises that its
+        :meth:`batch_response`, :meth:`frequency_response` and
+        :meth:`settling_time` are the model's own; the population
+        backend then evaluates whole slots of such devices through the
+        stacked kernel of :mod:`repro.dut.statespace` instead of one
+        method call per device.
+        """
+        return None
 
     # ------------------------------------------------------------------
     # Convenience ground-truth accessors

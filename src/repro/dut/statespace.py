@@ -10,17 +10,172 @@ instants, not a numerical approximation.
 
 Output convention: ``y[n]`` is taken at the sample instant *before* the
 interval's state update, i.e. ``y[n] = C x(t_n) + D u[n]``.
+
+Stacked kernel
+--------------
+The arithmetic lives in module functions over *stacked* models — a
+leading device axis on ``(a, b, c, d)`` — so one call serves a whole
+population slot: :func:`zoh_transfer` (discretization plus z-domain
+coefficients), :func:`frequency_responses` and :func:`settling_times`.
+:class:`StateSpaceDUT` calls the same functions with one row, so the
+per-device reference path and the population backend run identical
+floating-point operations by construction.  The coefficients restate
+:func:`scipy.signal.ss2tf` (``den = poly(Ad)``,
+``num = poly(Ad - Bd C) + (D - 1) den``) bit for bit: the matrix
+exponential and the eigenvalues come from the same SciPy/LAPACK routines
+applied slice by slice, and the characteristic-polynomial coefficients
+of first- and second-order models are formed in explicit real
+arithmetic — the products NumPy's complex convolution rounds — rather
+than by a complex multiply, whose fused kernels round differently.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 from scipy.linalg import expm
-from scipy.signal import lfilter, ss2tf
+from scipy.signal import lfilter
 
 from ..errors import ConfigError
 from ..signals.waveform import Waveform
 from .base import DUT
+
+
+class StateSpaceStack(NamedTuple):
+    """State-space models of one order stacked along a device axis."""
+
+    a: np.ndarray  # (N, n, n)
+    b: np.ndarray  # (N, n)
+    c: np.ndarray  # (N, n)
+    d: np.ndarray  # (N,)
+    poles: np.ndarray  # (N, n), the eigenvalues of each ``a``
+
+
+def stack_by_order(models) -> list[tuple[list[int], StateSpaceStack]]:
+    """Group models by state order and stack each group.
+
+    ``models`` may hold ``None`` entries (devices without a state-space
+    model); they are skipped.  Returns ``(indices, stack)`` pairs, the
+    indices naming each stacked row's position in ``models``.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, model in enumerate(models):
+        if model is not None:
+            groups.setdefault(model.order, []).append(i)
+    stacks = []
+    for rows in groups.values():
+        group = [models[i] for i in rows]
+        stacks.append(
+            (
+                rows,
+                StateSpaceStack(
+                    a=np.stack([m.a for m in group]),
+                    b=np.stack([m.b for m in group]),
+                    c=np.stack([m.c for m in group]),
+                    d=np.array([m.d for m in group]),
+                    poles=np.stack([m.poles for m in group]),
+                ),
+            )
+        )
+    return stacks
+
+
+def zoh_discretize(a, b, dt) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked exact ZOH discretization ``(Ad, Bd)`` of ``(a, b)``.
+
+    ``a`` is ``(N, n, n)``, ``b`` is ``(N, n)`` and ``dt`` a scalar or
+    ``(N,)`` sample period; the augmented-matrix exponential runs once
+    per row (SciPy's ``expm`` treats each slice independently).
+    """
+    a = np.asarray(a, dtype=float)
+    rows, n = a.shape[0], a.shape[-1]
+    dt = np.broadcast_to(np.asarray(dt, dtype=float), (rows,))
+    block = np.zeros((rows, n + 1, n + 1))
+    block[:, :n, :n] = a * dt[:, None, None]
+    block[:, :n, n] = b * dt[:, None]
+    ed = expm(block)
+    return ed[:, :n, :n], ed[:, :n, n]
+
+
+def _poly(roots: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`numpy.poly` of stacked polynomial roots ``(N, n)``.
+
+    Orders one and two are the two-root convolution written out in real
+    arithmetic (``c1 = -z1 - z2``, ``c2 = re(z1 z2)``), the exact values
+    NumPy's convolution produces for real roots and for conjugate pairs.
+    Higher orders accumulate longer dot products whose rounding depends
+    on the BLAS kernel, so each row goes through :func:`numpy.poly`
+    itself, with the row's roots in the dtype a per-matrix ``eigvals``
+    would have returned.
+    """
+    rows, n = roots.shape
+    out = np.ones((rows, n + 1))
+    if n == 1:
+        out[:, 1] = -roots[:, 0].real
+    elif n == 2:
+        ar, ai = -roots[:, 0].real, -roots[:, 0].imag
+        br, bi = -roots[:, 1].real, -roots[:, 1].imag
+        out[:, 1] = br + ar
+        out[:, 2] = ar * br - ai * bi
+    else:
+        for i, row in enumerate(roots):
+            out[i] = np.poly(row.real if not np.any(row.imag) else row)
+    return out
+
+
+def discrete_transfer(ad, bd, c, d) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked z-domain ``(num, den)`` of discrete models, as ``ss2tf``.
+
+    ``den = poly(Ad)`` and ``num = poly(Ad - Bd C) + (D - 1) den``, row
+    by row, each ``(N, n + 1)``.
+    """
+    c = np.asarray(c, dtype=float)
+    d = np.asarray(d, dtype=float)
+    den = _poly(np.linalg.eigvals(ad))
+    num = _poly(np.linalg.eigvals(ad - bd[:, :, None] * c[:, None, :]))
+    num += (d - 1.0)[:, None] * den
+    return num, den
+
+
+def zoh_transfer(a, b, c, d, dt) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked ZOH kernel: continuous ``(a, b, c, d)`` plus ``dt`` to
+    z-domain ``(num, den)`` (rows ``(N, n + 1)``) of the exact
+    zero-order-hold discretization.
+
+    Feeding row ``i`` to :func:`scipy.signal.lfilter` gives device
+    ``i``'s zero-state response to a held input sampled every ``dt[i]``.
+    """
+    ad, bd = zoh_discretize(a, b, dt)
+    return discrete_transfer(ad, bd, c, d)
+
+
+def frequency_responses(a, b, c, d, frequencies) -> np.ndarray:
+    """Stacked analytic response ``C (sI - A)^-1 B + D`` at ``s = 2 pi j f``.
+
+    ``a`` is ``(N, n, n)`` (``N`` may be 1 to broadcast one model over
+    many frequencies) and ``frequencies`` a scalar or ``(N,)`` array;
+    one batched solve covers every row.
+    """
+    a = np.asarray(a, dtype=float)
+    n = a.shape[-1]
+    s = 2j * np.pi * np.asarray(frequencies, dtype=float)
+    x = np.linalg.solve(s[..., None, None] * np.eye(n) - a, np.asarray(b)[..., None])
+    # (1 x n) @ (n x 1) per row: NumPy's matmul takes its dot-product
+    # kernel, the very evaluation a per-device ``c @ x`` performs.
+    h = np.matmul(np.asarray(c, dtype=complex)[..., None, :], x)[..., 0, 0]
+    return h + d
+
+
+def settling_times(poles, tolerance: float) -> np.ndarray:
+    """Stacked slowest-mode decay time to ``tolerance`` (seconds).
+
+    ``poles`` is ``(N, n)``; row ``i`` is device ``i``'s eigenvalues.
+    """
+    if not 0 < tolerance < 1:
+        raise ConfigError(f"tolerance must be in (0, 1), got {tolerance!r}")
+    slowest = np.min(-np.asarray(poles).real, axis=-1)
+    return np.log(1.0 / tolerance) / slowest
 
 
 class StateSpaceDUT(DUT):
@@ -56,6 +211,8 @@ class StateSpaceDUT(DUT):
         self.b = b
         self.c = c
         self.d = float(d)
+        #: Eigenvalues of ``a`` (kept from the stability check).
+        self.poles = eigs
         self.name = name
         self._x = np.zeros(n)
         self._disc_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
@@ -103,46 +260,50 @@ class StateSpaceDUT(DUT):
         """Number of states."""
         return self.a.shape[0]
 
+    def state_space(self) -> "StateSpaceDUT":
+        return self
+
     def reset(self) -> None:
         self._x = np.zeros(self.order)
 
     def _discretize(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
         key = round(dt, 18)
         cached = self._disc_cache.get(key)
-        if cached is not None:
-            return cached
-        n = self.order
-        block = np.zeros((n + 1, n + 1))
-        block[:n, :n] = self.a * dt
-        block[:n, n] = self.b * dt
-        ed = expm(block)
-        ad = ed[:n, :n]
-        bd = ed[:n, n]
-        self._disc_cache[key] = (ad, bd)
-        return ad, bd
+        if cached is None:
+            ad, bd = zoh_discretize(self.a[None], self.b[None], dt)
+            cached = self._disc_cache[key] = (ad[0], bd[0])
+        return cached
 
     def _zoh_transfer(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        """Cached z-domain ``(num, den)`` of the exact ZOH discretization."""
+        """Cached z-domain ``(num, den)`` of the exact ZOH discretization.
+
+        ``num`` row 0 is the output's numerator; row ``1 + j`` is state
+        ``j``'s (``C = e_j``, ``D = 0``), which :meth:`process` uses to
+        recover the final state.  All rows come from one stacked call.
+        """
         key = round(dt, 18)
         cached = self._tf_cache.get(key)
-        if cached is not None:
-            return cached
-        ad, bd = self._discretize(dt)
-        num, den = ss2tf(ad, bd.reshape(-1, 1), self.c.reshape(1, -1), [[self.d]])
-        self._tf_cache[key] = (num[0], den)
-        return num[0], den
+        if cached is None:
+            n = self.order
+            ad, bd = self._discretize(dt)
+            num, den = discrete_transfer(
+                np.broadcast_to(ad, (n + 1, n, n)),
+                np.broadcast_to(bd, (n + 1, n)),
+                np.vstack([self.c, np.eye(n)]),
+                np.concatenate([[self.d], np.zeros(n)]),
+            )
+            cached = self._tf_cache[key] = (num, den[0])
+        return cached
 
     def batch_response(self, samples: np.ndarray, sample_rate: float) -> np.ndarray:
         """Zero-state ZOH output samples, final state not recovered.
 
         Sample-identical to :meth:`process` from a reset state (the same
-        ``ss2tf`` + :func:`scipy.signal.lfilter` evaluation), but skips
-        the state-recovery replay the stateful contract pays for — the
-        population backend measures each device from reset every time
-        and never observes the carried state.
+        coefficients and :func:`scipy.signal.lfilter` evaluation), but
+        skips the state-recovery replay the stateful contract pays for.
         """
         num, den = self._zoh_transfer(1.0 / sample_rate)
-        return lfilter(num, den, np.asarray(samples, dtype=float))
+        return lfilter(num[0], den, np.asarray(samples, dtype=float))
 
     def process(self, waveform: Waveform) -> Waveform:
         """Exact ZOH response to a (held) input waveform.
@@ -150,28 +311,21 @@ class StateSpaceDUT(DUT):
         From a zero initial state (the common case: ``reset()`` then one
         run) the response is computed via the equivalent z-domain transfer
         function with :func:`scipy.signal.lfilter` — identical output at
-        C speed.  With a non-zero carried-over state the explicit
-        state-space recursion is used.
+        C speed — and the final state is recovered by filtering the input
+        through each state's own numerator.  With a non-zero carried-over
+        state the explicit state-space recursion is used.
         """
         ad, bd = self._discretize(waveform.dt)
         u = waveform.samples
         n = len(u)
         if not np.any(self._x):
-            num, den = ss2tf(ad, bd.reshape(-1, 1), self.c.reshape(1, -1), [[self.d]])
+            num, den = self._zoh_transfer(waveform.dt)
             out = lfilter(num[0], den, u)
-            # Recover the final physical state for contract consistency:
-            # replay only matters for subsequent stateful calls, which are
-            # rare; do it only when the caller could observe it (short
-            # tail replay would be wrong, so recompute exactly).
             x = np.zeros(self.order)
             if n:
-                # Final state via the lfilter of each state component.
-                eye = np.eye(self.order)
                 for j in range(self.order):
-                    numj, denj = ss2tf(ad, bd.reshape(-1, 1), eye[j].reshape(1, -1), [[0.0]])
                     # state x[n] after consuming all inputs = one more update
-                    xj = lfilter(numj[0], denj, u)
-                    x[j] = xj[-1]
+                    x[j] = lfilter(num[1 + j], den, u)[-1]
                 x = ad @ x + bd * u[-1]
             self._x = x
             return Waveform(out, waveform.sample_rate, waveform.t0)
@@ -188,12 +342,9 @@ class StateSpaceDUT(DUT):
 
     def frequency_response(self, frequencies) -> np.ndarray:
         frequencies = np.atleast_1d(np.asarray(frequencies, dtype=float))
-        out = np.empty(len(frequencies), dtype=complex)
-        eye = np.eye(self.order)
-        for i, f in enumerate(frequencies):
-            s = 2j * np.pi * f
-            out[i] = self.c @ np.linalg.solve(s * eye - self.a, self.b) + self.d
-        return out
+        return frequency_responses(
+            self.a[None], self.b[None], self.c[None], self.d, frequencies
+        )
 
     def dc_gain(self) -> float:
         """Response at DC."""
@@ -206,8 +357,4 @@ class StateSpaceDUT(DUT):
         signatures, mirroring the lab practice of waiting for the DUT to
         reach steady state.
         """
-        if not 0 < tolerance < 1:
-            raise ConfigError(f"tolerance must be in (0, 1), got {tolerance!r}")
-        eigs = np.linalg.eigvals(self.a)
-        slowest = np.min(-eigs.real)
-        return float(np.log(1.0 / tolerance) / slowest)
+        return float(settling_times(self.poles[None], tolerance)[0])

@@ -198,5 +198,5 @@ def execute_device_trial(job: DeviceTrialJob):
     return DeviceTrial(
         device_index=job.index,
         verdict=report.verdict,
-        truly_good=_truly_good(device, job.mask, job.program.frequencies),
+        truly_good=_truly_good([device], job.mask, job.program.frequencies)[0],
     )

@@ -12,9 +12,16 @@ operations:
   clock — the same fact that makes the paper's one-off calibration
   valid), so a single render serves every device and every sweep
   frequency; each job's lead-in is a prefix of the same sequence.
-* **Lean per-device DUT response** via :meth:`~repro.dut.base.DUT.batch_response`
-  (the same exact ZOH ``lfilter`` evaluation as the reference, minus the
-  final-state recovery the population path never observes).
+* **Stacked DUT kernel.**  Devices that expose a state-space model
+  (:meth:`~repro.dut.base.DUT.state_space`) get their exact-ZOH z-domain
+  coefficients from one :func:`~repro.dut.statespace.zoh_transfer` call
+  per slot, their settling lead-ins from one stacked computation per
+  campaign and their truly-good verdicts from one stacked solve per
+  probe frequency — the arithmetic the reference backend runs per
+  device, one row at a time.  Each device then keeps its own
+  ``lfilter`` over the shared stimulus prefix (minus the final-state
+  recovery the population path never observes); other devices go
+  through :meth:`~repro.dut.base.DUT.batch_response`.
 * **Population-batched modulators.**  The exact closed-form bitstream of
   the ideal modulator runs as row-wise ``cumsum``/``floor`` over the
   whole population at once; non-ideal (noisy) modulators run the
@@ -56,6 +63,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.signal import lfilter
 
 from ..clocking.master import GENERATOR_STEPS, OVERSAMPLING_RATIO, ClockTree
 from ..clocking.sequencer import ModulationSequence
@@ -63,6 +71,7 @@ from ..core import compensation
 from ..core.calibration import CalibrationResult
 from ..core.config import AnalyzerConfig
 from ..core.measurement import GainPhaseMeasurement, StimulusMeasurement
+from ..dut.statespace import settling_times, stack_by_order, zoh_transfer
 from ..errors import ConfigError
 from ..evaluator.counters import SignatureCounter
 from ..evaluator.dsp import SignatureDSP, correlation_gain, phase_offset
@@ -349,13 +358,20 @@ class PopulationMeasurer:
         chunks (one measurer per batch), so settle-seconds memos for
         earlier chunks' devices are dead weight — and their strong
         references would grow the footprint with the lot instead of the
-        chunk.  Each reservation starts the memo fresh.
+        chunk.  Each reservation starts the memo fresh, filled for every
+        state-space device by one stacked computation over the
+        eigenvalues the devices already hold.
         """
         self._settle_cache.clear()
+        duts = list(duts)
+        tolerance = self.config.dut_settle_tolerance
+        for rows, stack in stack_by_order([dut.state_space() for dut in duts]):
+            for i, seconds in zip(rows, settling_times(stack.poles, tolerance)):
+                self._settle_cache[id(duts[i])] = (duts[i], float(seconds))
         fwaves = [float(f) for f in fwaves]
         if not fwaves or self._noisy_generator:
             # A noisy generator renders per device (no shared prefix to
-            # warm); the settle-seconds cache still fills lazily.
+            # warm); devices without a model still settle lazily.
             return
         worst_seconds = max(
             (self._settle_seconds(dut) for dut in duts), default=0.0
@@ -382,11 +398,9 @@ class PopulationMeasurer:
             responses = self._noisy_responses(entries, leads)
         else:
             stimulus = self._stimulus_samples(max(leads) + m)
-            responses = np.empty((n_devices, self.mn))
-            for i, ((dut, fwave, _), lead) in enumerate(zip(entries, leads)):
-                prefix = stimulus[: (lead + m) * n]
-                output = dut.batch_response(prefix, fwave * n)
-                responses[i] = output[lead * n : lead * n + self.mn]
+            responses = self._responses(
+                entries, leads, lambda i, lead: stimulus[: (lead + m) * n]
+            )
 
         # Per-job RNG consumption, reference order: power-up states
         # first, then channel-1 noise, then channel-2 noise.
@@ -485,7 +499,6 @@ class PopulationMeasurer:
         """
         config = self.config
         m = self.m_periods
-        n = OVERSAMPLING_RATIO
         settle_head = config.generator_settle_periods
         generator = self._template_generator()
         biquad = generator.biquad
@@ -539,11 +552,38 @@ class PopulationMeasurer:
 
         hold = OVERSAMPLING_RATIO // GENERATOR_STEPS
         head = settle_head * GENERATOR_STEPS
-        responses = np.empty((n_devices, self.mn))
+        return self._responses(
+            entries,
+            leads,
+            lambda i, lead: np.repeat(
+                out[head : head + (lead + m) * GENERATOR_STEPS, i], hold
+            ),
+        )
+
+    def _responses(self, entries, leads, held_input) -> np.ndarray:
+        """Each device's measurement window of its response to
+        ``held_input(i, lead)``, its held stimulus including the lead-in.
+
+        State-space devices take their z-domain coefficients from one
+        stacked :func:`~repro.dut.statespace.zoh_transfer` call per state
+        order — the kernel ``StateSpaceDUT.batch_response`` runs with one
+        row — and keep their own ``lfilter``; other devices go through
+        ``batch_response``.
+        """
+        n = OVERSAMPLING_RATIO
+        coefficients: list = [None] * len(entries)
+        for rows, stack in stack_by_order([dut.state_space() for dut, _, _ in entries]):
+            dt = np.array([1.0 / (entries[i][1] * n) for i in rows])
+            num, den = zoh_transfer(stack.a, stack.b, stack.c, stack.d, dt)
+            for k, i in enumerate(rows):
+                coefficients[i] = (num[k], den[k])
+        responses = np.empty((len(entries), self.mn))
         for i, ((dut, fwave, _), lead) in enumerate(zip(entries, leads)):
-            samples = out[head : head + (lead + m) * GENERATOR_STEPS, i]
-            held = np.repeat(samples, hold)
-            output = dut.batch_response(held, fwave * n)
+            held = held_input(i, lead)
+            if coefficients[i] is None:
+                output = dut.batch_response(held, fwave * n)
+            else:
+                output = lfilter(*coefficients[i], held)
             responses[i] = output[lead * n : lead * n + self.mn]
         return responses
 
@@ -789,6 +829,7 @@ def run_trials_vectorized(
         measurer = PopulationMeasurer(config, program.m_periods, calibration)
     measurer.reserve(devices, program.frequencies)
     points: list[list] = [[] for _ in range(n_devices)]
+    truly_good = _truly_good(devices, mask, program.frequencies)
     for f in program.frequencies:
         slot = measurer.measure(
             [(device, f, job_rng) for device, job_rng in zip(devices, job_rngs)]
@@ -800,7 +841,7 @@ def run_trials_vectorized(
         DeviceTrial(
             device_index=start_index + i,
             verdict=BISTReport(points=tuple(points[i])).verdict,
-            truly_good=_truly_good(devices[i], mask, program.frequencies),
+            truly_good=truly_good[i],
         )
         for i in range(n_devices)
     ]

@@ -9,6 +9,7 @@ and an unchunked run's trace is byte-identical to the pre-chunking
 layout (chunk spans appear only when chunking is requested).
 """
 
+import numpy as np
 import pytest
 
 from repro.bist.limits import SpecMask
@@ -122,6 +123,48 @@ class TestExactChannelInvariance:
                 )
             )
             assert chunked == unchunked
+
+    @pytest.mark.parametrize("config", [AnalyzerConfig.ideal(m_periods=M), NOISY],
+                             ids=["ideal", "noisy"])
+    def test_mixed_pole_lot_matches_reference(self, config):
+        """The stacked DUT kernel keeps a chunked lot on the reference's
+        exact channel when real-pole and complex-pole devices share a
+        stack (a critically damped nominal spreads across both)."""
+        nominal = design_mfb_lowpass(1000.0, q=0.5)
+        frequencies = [300.0, 1000.0, 2000.0]
+        mask = SpecMask.from_golden(
+            ActiveRCLowpass(nominal), frequencies, tolerance_db=0.5
+        )
+        program = BISTProgram(mask, frequencies, m_periods=M)
+        n_devices, sigma, seed = 23, 0.05, 2
+        rng = np.random.default_rng(seed)
+        drawn = [
+            ActiveRCLowpass(nominal.with_tolerance(sigma, rng))
+            for _ in range(n_devices)
+        ]
+        real = [not np.any(d.state_space().poles.imag) for d in drawn]
+        assert any(real) and not all(real)
+        kwargs = dict(
+            n_devices=n_devices, component_sigma=sigma, seed=seed, config=config
+        )
+
+        def key(trials):
+            return [(t.device_index, t.verdict, t.truly_good) for t in trials]
+
+        reference = key(
+            BatchRunner(backend="reference").run_trials(
+                nominal, mask, program, **kwargs
+            )
+        )
+        truly_good = [t[2] for t in reference]
+        assert any(truly_good) and not all(truly_good)
+        for chunk in (1, 7, n_devices):
+            vectorized = key(
+                BatchRunner(backend="vectorized", chunk_size=chunk).run_trials(
+                    nominal, mask, program, **kwargs
+                )
+            )
+            assert vectorized == reference
 
     def test_start_index_offsets_compose_with_chunking(self):
         """A sharded campaign slice stays on its absolute substreams."""
