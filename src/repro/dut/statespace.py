@@ -70,11 +70,11 @@ def stack_by_order(models) -> list[tuple[list[int], StateSpaceStack]]:
             (
                 rows,
                 StateSpaceStack(
-                    a=np.stack([m.a for m in group]),
-                    b=np.stack([m.b for m in group]),
-                    c=np.stack([m.c for m in group]),
+                    a=np.array([m.a for m in group]),
+                    b=np.array([m.b for m in group]),
+                    c=np.array([m.c for m in group]),
                     d=np.array([m.d for m in group]),
-                    poles=np.stack([m.poles for m in group]),
+                    poles=np.array([m.poles for m in group]),
                 ),
             )
         )
