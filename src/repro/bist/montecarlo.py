@@ -25,7 +25,6 @@ import numpy as np
 from ..core.config import AnalyzerConfig
 from ..dut.active_rc import FilterComponents
 from ..dut.statespace import frequency_responses, stack_by_order
-from ..errors import ConfigError
 from .limits import SpecMask
 from .program import BISTProgram
 
@@ -105,13 +104,12 @@ def _truly_good(duts, mask: SpecMask, frequencies) -> list[bool]:
     (:func:`repro.dut.statespace.frequency_responses`, the arithmetic of
     every device's own ``frequency_response``); the gain in dB is formed
     as :meth:`~repro.dut.base.DUT.gain_db_at` forms it.  Both execution
-    backends call this, the reference one with a single device.
+    backends call this, the reference one with a single device.  Yield
+    lots are built from :class:`~repro.dut.active_rc.ActiveRCLowpass`
+    devices, which all expose :meth:`~repro.dut.base.DUT.state_space`.
     """
-    models = [dut.state_space() for dut in duts]
-    if any(model is None for model in models):
-        raise ConfigError("a yield lot needs devices with a state-space model")
-    good = np.ones(len(models), dtype=bool)
-    for rows, stack in stack_by_order(models):
+    good = np.ones(len(duts), dtype=bool)
+    for rows, stack in stack_by_order([dut.state_space() for dut in duts]):
         for f in frequencies:
             limits = mask.limits_at(f)
             if limits is None:

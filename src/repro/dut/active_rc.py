@@ -200,9 +200,6 @@ class ActiveRCLowpass(DUT):
     def process(self, waveform: Waveform) -> Waveform:
         return self._core.process(waveform)
 
-    def batch_response(self, samples: np.ndarray, sample_rate: float) -> np.ndarray:
-        return self._core.batch_response(samples, sample_rate)
-
     def frequency_response(self, frequencies) -> np.ndarray:
         return self._core.frequency_response(frequencies)
 

@@ -58,8 +58,9 @@ class DUT(abc.ABC):
         stimulus and only needs the output *samples* — not the final
         device state the stateful :meth:`process` contract maintains.
         The default resets and delegates to :meth:`process`, which any
-        DUT supports; LTI devices override with a leaner filter that
-        skips the final-state recovery.
+        DUT supports.  Devices with a :meth:`state_space` model never
+        reach it on the population path: the backend filters them with
+        coefficients from the stacked kernel instead.
         """
         self.reset()
         return self.process(Waveform(samples, sample_rate)).samples
@@ -67,12 +68,12 @@ class DUT(abc.ABC):
     def state_space(self) -> "StateSpaceDUT | None":
         """The exact LTI model behind this device, or None (default).
 
-        A device that returns a model promises that its
-        :meth:`batch_response`, :meth:`frequency_response` and
-        :meth:`settling_time` are the model's own; the population
-        backend then evaluates whole slots of such devices through the
-        stacked kernel of :mod:`repro.dut.statespace` instead of one
-        method call per device.
+        A device that returns a model promises that its :meth:`process`
+        from reset and its :meth:`frequency_response` are the model's
+        own; the population backend then evaluates whole slots of such
+        devices through the stacked kernel of
+        :mod:`repro.dut.statespace` instead of one method call per
+        device.
         """
         return None
 

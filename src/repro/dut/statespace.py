@@ -16,7 +16,7 @@ Stacked kernel
 The arithmetic lives in module functions over *stacked* models — a
 leading device axis on ``(a, b, c, d)`` — so one call serves a whole
 population slot: :func:`zoh_transfer` (discretization plus z-domain
-coefficients), :func:`frequency_responses` and :func:`settling_times`.
+coefficients) and :func:`frequency_responses`.
 :class:`StateSpaceDUT` calls the same functions with one row, so the
 per-device reference path and the population backend run identical
 floating-point operations by construction.  The coefficients restate
@@ -49,7 +49,6 @@ class StateSpaceStack(NamedTuple):
     b: np.ndarray  # (N, n)
     c: np.ndarray  # (N, n)
     d: np.ndarray  # (N,)
-    poles: np.ndarray  # (N, n), the eigenvalues of each ``a``
 
 
 def stack_by_order(models) -> list[tuple[list[int], StateSpaceStack]]:
@@ -74,7 +73,6 @@ def stack_by_order(models) -> list[tuple[list[int], StateSpaceStack]]:
                     b=np.array([m.b for m in group]),
                     c=np.array([m.c for m in group]),
                     d=np.array([m.d for m in group]),
-                    poles=np.array([m.poles for m in group]),
                 ),
             )
         )
@@ -165,17 +163,6 @@ def frequency_responses(a, b, c, d, frequencies) -> np.ndarray:
     # kernel, the very evaluation a per-device ``c @ x`` performs.
     h = np.matmul(np.asarray(c, dtype=complex)[..., None, :], x)[..., 0, 0]
     return h + d
-
-
-def settling_times(poles, tolerance: float) -> np.ndarray:
-    """Stacked slowest-mode decay time to ``tolerance`` (seconds).
-
-    ``poles`` is ``(N, n)``; row ``i`` is device ``i``'s eigenvalues.
-    """
-    if not 0 < tolerance < 1:
-        raise ConfigError(f"tolerance must be in (0, 1), got {tolerance!r}")
-    slowest = np.min(-np.asarray(poles).real, axis=-1)
-    return np.log(1.0 / tolerance) / slowest
 
 
 class StateSpaceDUT(DUT):
@@ -295,16 +282,6 @@ class StateSpaceDUT(DUT):
             cached = self._tf_cache[key] = (num, den[0])
         return cached
 
-    def batch_response(self, samples: np.ndarray, sample_rate: float) -> np.ndarray:
-        """Zero-state ZOH output samples, final state not recovered.
-
-        Sample-identical to :meth:`process` from a reset state (the same
-        coefficients and :func:`scipy.signal.lfilter` evaluation), but
-        skips the state-recovery replay the stateful contract pays for.
-        """
-        num, den = self._zoh_transfer(1.0 / sample_rate)
-        return lfilter(num[0], den, np.asarray(samples, dtype=float))
-
     def process(self, waveform: Waveform) -> Waveform:
         """Exact ZOH response to a (held) input waveform.
 
@@ -357,4 +334,7 @@ class StateSpaceDUT(DUT):
         signatures, mirroring the lab practice of waiting for the DUT to
         reach steady state.
         """
-        return float(settling_times(self.poles[None], tolerance)[0])
+        if not 0 < tolerance < 1:
+            raise ConfigError(f"tolerance must be in (0, 1), got {tolerance!r}")
+        slowest = np.min(-self.poles.real)
+        return float(np.log(1.0 / tolerance) / slowest)

@@ -15,8 +15,7 @@ operations:
 * **Stacked DUT kernel.**  Devices that expose a state-space model
   (:meth:`~repro.dut.base.DUT.state_space`) get their exact-ZOH z-domain
   coefficients from one :func:`~repro.dut.statespace.zoh_transfer` call
-  per slot, their settling lead-ins from one stacked computation per
-  campaign and their truly-good verdicts from one stacked solve per
+  per slot and their truly-good verdicts from one stacked solve per
   probe frequency — the arithmetic the reference backend runs per
   device, one row at a time.  Each device then keeps its own
   ``lfilter`` over the shared stimulus prefix (minus the final-state
@@ -71,7 +70,7 @@ from ..core import compensation
 from ..core.calibration import CalibrationResult
 from ..core.config import AnalyzerConfig
 from ..core.measurement import GainPhaseMeasurement, StimulusMeasurement
-from ..dut.statespace import settling_times, stack_by_order, zoh_transfer
+from ..dut.statespace import stack_by_order, zoh_transfer
 from ..errors import ConfigError
 from ..evaluator.counters import SignatureCounter
 from ..evaluator.dsp import SignatureDSP, correlation_gain, phase_offset
@@ -358,20 +357,13 @@ class PopulationMeasurer:
         chunks (one measurer per batch), so settle-seconds memos for
         earlier chunks' devices are dead weight — and their strong
         references would grow the footprint with the lot instead of the
-        chunk.  Each reservation starts the memo fresh, filled for every
-        state-space device by one stacked computation over the
-        eigenvalues the devices already hold.
+        chunk.  Each reservation starts the memo fresh.
         """
         self._settle_cache.clear()
-        duts = list(duts)
-        tolerance = self.config.dut_settle_tolerance
-        for rows, stack in stack_by_order([dut.state_space() for dut in duts]):
-            for i, seconds in zip(rows, settling_times(stack.poles, tolerance)):
-                self._settle_cache[id(duts[i])] = (duts[i], float(seconds))
         fwaves = [float(f) for f in fwaves]
         if not fwaves or self._noisy_generator:
             # A noisy generator renders per device (no shared prefix to
-            # warm); devices without a model still settle lazily.
+            # warm); the settle-seconds cache still fills lazily.
             return
         worst_seconds = max(
             (self._settle_seconds(dut) for dut in duts), default=0.0
@@ -566,8 +558,8 @@ class PopulationMeasurer:
 
         State-space devices take their z-domain coefficients from one
         stacked :func:`~repro.dut.statespace.zoh_transfer` call per state
-        order — the kernel ``StateSpaceDUT.batch_response`` runs with one
-        row — and keep their own ``lfilter``; other devices go through
+        order — the kernel ``StateSpaceDUT.process`` runs with one row —
+        and keep their own ``lfilter``; other devices go through
         ``batch_response``.
         """
         n = OVERSAMPLING_RATIO

@@ -28,7 +28,6 @@ from repro.dut.faults import full_catalog
 from repro.dut.statespace import (
     StateSpaceDUT,
     frequency_responses,
-    settling_times,
     stack_by_order,
     zoh_transfer,
 )
@@ -163,8 +162,8 @@ class TestDeviceUsesKernel:
         expected = lfilter(num, den, u)
         dut.reset()
         assert np.array_equal(dut.process(Waveform(u, fs)).samples, expected)
-        # The zero-state process call cached the coefficients
-        # batch_response reads.
+        # The zero-state process call cached the coefficients, and the
+        # default batch_response (reset, then process) reads them back.
         assert round(1.0 / fs, 18) in model._tf_cache
         assert np.array_equal(dut.batch_response(u, fs), expected)
 
@@ -190,21 +189,20 @@ class TestDeviceUsesKernel:
         assert not hasattr(module, "ss2tf")
 
 
-class TestStackedSettling:
+class TestCachedPoles:
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 10),
            tolerance=st.sampled_from([1e-6, 1e-8, 0.01]))
-    def test_matches_per_device(self, seed, n, tolerance):
+    def test_settling_time_matches_fresh_eigvals(self, seed, n, tolerance):
+        """The eigenvalues kept from the stability check give the settling
+        time a fresh ``eigvals`` of ``A`` would."""
         duts = tolerance_lot(seed, n) + FAULTY[seed % len(FAULTY) :][:3] + BIQUADS
-        models = [dut.state_space() for dut in duts]
-        for rows, stack in stack_by_order(models):
-            stacked = settling_times(stack.poles, tolerance)
-            for k, i in enumerate(rows):
-                assert stacked[k] == duts[i].settling_time(tolerance)
-                eigs = np.linalg.eigvals(models[i].a)
-                assert stacked[k] == float(
-                    np.log(1.0 / tolerance) / np.min(-eigs.real)
-                )
+        for dut in duts:
+            eigs = np.linalg.eigvals(dut.state_space().a)
+            assert np.array_equal(dut.state_space().poles, eigs)
+            assert dut.settling_time(tolerance) == float(
+                np.log(1.0 / tolerance) / np.min(-eigs.real)
+            )
 
 
 class TestStackedTrulyGood:
