@@ -86,7 +86,7 @@ from .core import (
     system_dynamic_range,
 )
 from .api import ExecutionPolicy, Result, Session, SessionResult, SessionStats
-from .engine import BatchRunner, BatchStats, CalibrationCache, supports_vectorized
+from .engine import BatchRunner, BatchStats, CalibrationCache
 from .errors import (
     CalibrationError,
     ConfigError,
@@ -124,7 +124,6 @@ __all__ = [
     "BatchRunner",
     "BatchStats",
     "CalibrationCache",
-    "supports_vectorized",
     "Session",
     "ExecutionPolicy",
     "Result",

@@ -37,14 +37,13 @@ from .jobs import (
 )
 from .runner import BACKENDS, BatchRunner, BatchStats, default_workers
 from .seeding import config_for_job, derive_seed
-from .vectorized import PopulationMeasurer, supports_vectorized
+from .vectorized import PopulationMeasurer
 
 __all__ = [
     "BACKENDS",
     "BatchRunner",
     "BatchStats",
     "PopulationMeasurer",
-    "supports_vectorized",
     "CalibrationCache",
     "DeviceTrialJob",
     "DistortionJob",

@@ -82,7 +82,7 @@ class BatchStats:
     batch — ``"reference"`` even on a vectorized runner when the
     workload has no vectorized path (distortion) and the batch fell
     back.  Every :class:`~repro.core.config.AnalyzerConfig` itself
-    vectorizes (see :func:`repro.engine.vectorized.supports_vectorized`).
+    vectorizes.
     """
 
     n_jobs: int
@@ -198,8 +198,7 @@ class BatchRunner:
         they can never disagree about what actually ran.  A *fallback*
         is a batch whose runner requested the vectorized backend but
         whose *workload* has no vectorized path (distortion); every
-        :class:`~repro.core.config.AnalyzerConfig` itself vectorizes
-        (see :func:`repro.engine.vectorized.supports_vectorized`).
+        :class:`~repro.core.config.AnalyzerConfig` itself vectorizes.
         """
         if self.backend != "vectorized":
             return "reference", False

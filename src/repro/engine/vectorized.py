@@ -23,9 +23,10 @@ operations:
   through :meth:`~repro.dut.base.DUT.batch_response`.
 * **Population-batched modulators.**  The exact closed-form bitstream of
   the ideal modulator runs as row-wise ``cumsum``/``floor`` over the
-  whole population at once; non-ideal (noisy) modulators run the
-  reference recurrence as a time loop over device-axis vectors instead
-  of a Python loop per sample per device.
+  whole population at once.  Non-ideal (noisy) modulators run the
+  reference recurrence as a time loop over device-axis vectors in wide
+  slots, and the reference per-device modulator (a loop on Python
+  floats) in small ones.
 * **Array interval arithmetic.**  Signatures become bounded gain/phase
   through :class:`~repro.intervals.BoundedArray` — one set of array
   expressions for the whole population instead of per-device
@@ -46,15 +47,14 @@ which may differ in the last bit; results agree to within a few ulp
 Configurations whose *generator* consumes the noise stream (a noisy
 ``generator_opamp`` with ``noise_seed`` set) cannot share one stimulus
 render — each job's stimulus is perturbed by its private substream.
-Those populations render as a *batched* noisy stimulus instead: the
-biquad recurrence runs as a time loop over device-axis vectors with
-each device's interleaved amplifier-noise draws taken from its own job
-RNG, op-for-op the reference :meth:`~repro.sc.biquad.SCBiquad.step`
-arithmetic, so the per-device stimuli (and hence the integer
-signatures) are bit-identical to the reference backend's.  Every valid
-:class:`~repro.core.config.AnalyzerConfig` is therefore supported;
-:func:`supports_vectorized` is retained as the (now always-true) seam
-predicate.
+Each device then renders its own stimulus with the row kernel the
+reference backend runs, :meth:`~repro.sc.biquad.SCBiquad.render_row`:
+its amplifier noise is drawn in bulk from its own job RNG in the
+reference draw order, and the recurrence runs on Python floats for
+exactly the steps that device's lead-in needs.  The per-device stimuli
+(and hence the integer signatures) are bit-identical to the reference
+backend's, so every valid :class:`~repro.core.config.AnalyzerConfig`
+runs on this backend.
 """
 
 from __future__ import annotations
@@ -82,21 +82,6 @@ from ..generator.sinewave_generator import SinewaveGenerator
 from ..intervals import BoundedArray, atan2_array, hypot_array
 from ..sc.mismatch import MismatchModel
 from .seeding import derive_seed
-
-
-def supports_vectorized(config: AnalyzerConfig) -> bool:
-    """True when the population backend reproduces the reference path.
-
-    Always true: every valid configuration — mismatch dies,
-    deterministic non-ideal amplifiers, noisy evaluators, random
-    modulator power-up states, and noisy generators (rendered as a
-    batched per-device stimulus consuming each job's substream in the
-    reference order) — is reproduced exactly.  The predicate is kept as
-    the seam's documented extension point for future backends with
-    narrower coverage (e.g. array namespaces without a batched noisy
-    render).
-    """
-    return isinstance(config, AnalyzerConfig)
 
 
 def _job_rng(
@@ -182,15 +167,17 @@ def _nonideal_bits(
     channel: FirstOrderSigmaDelta,
     w: np.ndarray,
     u0: np.ndarray,
-    noise: np.ndarray,
+    noise: np.ndarray | float,
 ) -> np.ndarray:
     """Device-batched non-ideal modulator recurrence.
 
     The reference per-sample loop, restated as a time loop over
     device-axis vectors: each step performs the same IEEE operations in
-    the same order as the scalar recurrence, so the bitstreams are
-    bit-identical — the win is amortizing the Python loop over the
-    whole population.
+    the same order as the scalar recurrence — ``(w + offset) + noise``
+    is formed once for the whole window, the feedback is exactly
+    ``+/-vref``, and the state clips only when ``v_sat`` is finite — so
+    the bitstreams are bit-identical.  The win is amortizing the Python
+    loop over the whole population.  ``w`` is consumed in place.
     """
     amp = channel.opamp
     g = channel.gain
@@ -199,25 +186,43 @@ def _nonideal_bits(
     leak = 1.0 - amp.inverse_gain * g
     settle = amp.settling_error
     u_sat = amp.v_sat
-    offset = amp.offset
+    clip = not math.isinf(u_sat)
+    w += amp.offset
+    w += noise
+    drive = np.ascontiguousarray(w.T)
+    decisions = np.empty(drive.shape, dtype=bool)
     u = np.array(u0, dtype=float)
-    bits = np.empty(w.shape, dtype=np.int8)
-    w_t = np.ascontiguousarray(w.T)
-    noise_t = np.ascontiguousarray(noise.T)
-    for i in range(w.shape[1]):
-        decide = u >= threshold
-        bits[:, i] = np.where(decide, 1, -1)
-        feedback = np.where(decide, vref, -vref)
-        target = leak * u + g * (w_t[i] + offset + noise_t[i] - feedback)
-        u = target - settle * (target - u)
-        np.clip(u, -u_sat, u_sat, out=u)
-    return bits
+    feedback = np.empty_like(u)
+    target = np.empty_like(u)
+    scratch = np.empty_like(u)
+    for i in range(len(drive)):
+        decide = decisions[i]
+        np.greater_equal(u, threshold, out=decide)
+        # 2 vref - vref and 0 - vref are exact: the feedback is +/-vref.
+        np.multiply(decide, 2.0 * vref, out=feedback)
+        feedback -= vref
+        np.subtract(drive[i], feedback, out=target)
+        target *= g
+        np.multiply(u, leak, out=scratch)
+        target += scratch
+        np.subtract(target, u, out=scratch)
+        scratch *= settle
+        np.subtract(target, scratch, out=u)
+        if clip:
+            np.minimum(u, u_sat, out=u)
+            np.maximum(u, -u_sat, out=u)
+    return np.where(decisions.T, 1, -1).astype(np.int8)
 
 
-#: Below this population size the time-stepped device-axis loops lose to
-#: the reference per-device modulators (NumPy per-op overhead dominates
-#: small vectors); the measurer switches strategy on it.
-_BATCH_MIN_DEVICES = 10
+#: Below this population size the time-stepped device-axis modulator loop
+#: loses to the reference per-device modulator (NumPy per-op overhead
+#: dominates small vectors); the measurer switches strategy on it.  The
+#: measured crossover of ``PopulationMeasurer.measure`` on one noisy slot
+#: (m = 40, evaluator 1e-4 and generator 5e-5 V rms, catalog faults at the
+#: cutoff; 2-vCPU Xeon, CPython 3.11.7, NumPy 2.4.6), per-device vs
+#: device-axis ms: 16 devices 61 vs 94, 24: 91 vs 104, 32: 114 vs 107,
+#: 64: 191 vs 146.  EXPERIMENTS.md has the full table.
+_BATCH_MIN_DEVICES = 32
 
 
 def _count_signatures(bits: np.ndarray, chopped: bool) -> np.ndarray:
@@ -407,10 +412,10 @@ class PopulationMeasurer:
         channel1 = self.evaluator.channel1
         channel2 = self.evaluator.channel2
         if n_devices < _BATCH_MIN_DEVICES:
-            # Tiny populations (a diagnosis-time signature, a short
-            # sweep): per-device NumPy array ops already amortize well,
-            # and the time-stepped device-axis loop would not — run the
-            # reference modulator per device, wired to the job's RNG.
+            # Small populations (a diagnosis-time signature, a short
+            # sweep): the time-stepped device-axis loop would not
+            # amortize its per-step NumPy calls — run the reference
+            # modulator per device, wired to the job's RNG.
             i1, i2, overload = self._per_device_counts(entries, responses, u0)
         else:
             rngs = [rng for _, _, rng in entries]
@@ -474,83 +479,34 @@ class PopulationMeasurer:
 
     # ------------------------------------------------------------------
     def _noisy_responses(self, entries, leads) -> np.ndarray:
-        """Per-device noise-perturbed stimuli, rendered as one batch.
+        """Per-device noise-perturbed stimuli, one row kernel per device.
 
         A noisy generator gives every job its own stimulus: the biquad's
         two amplifiers each draw one noise sample per generator step
-        from the job's private RNG.  This runs the reference
-        :meth:`~repro.sc.biquad.SCBiquad.step` recurrence as a time loop
-        over device-axis vectors — the same IEEE operations in the same
-        order, with each device's interleaved (amp1, amp2) draws taken
-        from its own substream up front (batched ``normal(size=2k)``
-        equals ``2k`` sequential scalar draws) — so every device's
-        render is bit-identical to the private render its reference job
-        would perform.  Devices with shorter lead-ins simply stop
-        consuming their render early (the recurrence is causal; their
-        noise tails are never drawn).
+        from the job's private RNG.  Each device's render is the
+        reference :meth:`~repro.sc.biquad.SCBiquad.render_row` kernel
+        over the shared charge sequence, fed by that device's bulk
+        :meth:`~repro.sc.biquad.SCBiquad.draw_noise` (the reference draw
+        order), and it runs only the ``(settle + lead + m)`` periods
+        that device needs — so every render is bit-identical to the
+        private render its reference job performs, and no device pays
+        for the slot's longest lead-in.
         """
-        config = self.config
         m = self.m_periods
-        settle_head = config.generator_settle_periods
+        settle_head = self.config.generator_settle_periods
         generator = self._template_generator()
         biquad = generator.biquad
-        caps = biquad.caps
-        amp1, amp2 = biquad.opamp1, biquad.opamp2
-        rms = amp1.noise_rms
-
-        n_devices = len(entries)
-        steps = [
-            (settle_head + lead + m) * GENERATOR_STEPS for lead in leads
-        ]
-        max_steps = max(steps)
-        charges = generator.control.charge_sequence(max_steps)
-
-        noise1 = np.zeros((max_steps, n_devices))
-        noise2 = np.zeros((max_steps, n_devices))
-        for i, ((_, _, rng), k) in enumerate(zip(entries, steps)):
-            if rng is not None:
-                draws = rng.normal(0.0, rms, size=2 * k)
-                # The reference accumulates each draw into `total = 0.0`
-                # (SCBiquad._noise); adding 0.0 reproduces that exactly
-                # (it canonicalizes a -0.0 draw to +0.0).
-                np.add(draws, 0.0, out=draws)
-                noise1[:k, i] = draws[0::2]
-                noise2[:k, i] = draws[1::2]
-
-        # The reference step's precomputed coefficients, reused so every
-        # scalar is the very float the per-job biquad would multiply by.
-        leak1, gain1 = biquad._leak1, biquad._gain1
-        leak2 = biquad._leak2
-        g2c2 = biquad._gain2 * biquad._c2
-        a = caps.a
-        be = caps.b + caps.e
-        boff1 = caps.b * amp1.offset
-        off2 = amp2.offset
-        se1, vs1 = amp1.settling_error, amp1.v_sat
-        se2, vs2 = amp2.settling_error, amp2.v_sat
-
-        v1 = np.zeros(n_devices)
-        v2 = np.zeros(n_devices)
-        out = np.empty((max_steps, n_devices))
-        for i in range(max_steps):
-            q = charges[i]
-            target1 = leak1 * v1 - gain1 * ((q + a * v2) + boff1) / be + noise1[i]
-            v1 = target1 - se1 * (target1 - v1)
-            np.clip(v1, -vs1, vs1, out=v1)
-            target2 = leak2 * v2 + g2c2 * (v1 + off2) + noise2[i]
-            v2 = target2 - se2 * (target2 - v2)
-            np.clip(v2, -vs2, vs2, out=v2)
-            out[i] = v2
-
+        steps = [(settle_head + lead + m) * GENERATOR_STEPS for lead in leads]
+        charges = generator.control.charge_sequence(max(steps)).tolist()
         hold = OVERSAMPLING_RATIO // GENERATOR_STEPS
         head = settle_head * GENERATOR_STEPS
-        return self._responses(
-            entries,
-            leads,
-            lambda i, lead: np.repeat(
-                out[head : head + (lead + m) * GENERATOR_STEPS, i], hold
-            ),
-        )
+
+        def held_input(i: int, lead: int) -> np.ndarray:
+            noise1, noise2 = biquad.draw_noise(entries[i][2], steps[i])
+            out, _, _ = biquad.render_row(charges[: steps[i]], noise1, noise2)
+            return np.repeat(out[head:], hold)
+
+        return self._responses(entries, leads, held_input)
 
     def _responses(self, entries, leads, held_input) -> np.ndarray:
         """Each device's measurement window of its response to
@@ -651,11 +607,12 @@ class PopulationMeasurer:
         """One channel's signature counts for the whole population."""
         chopped = self.config.chopped
         if not _channel_is_ideal(channel, self._has_rng):
-            w = q * responses
-            if noise is None:
-                noise = np.zeros_like(w)
+            # A noiseless channel still adds 0.0, as the reference does.
             return _count_signatures(
-                _nonideal_bits(channel, w, u0, noise), chopped
+                _nonideal_bits(
+                    channel, q * responses, u0, 0.0 if noise is None else noise
+                ),
+                chopped,
             )
         half_span = 2.0 * channel.gain * channel.vref
         fast = (

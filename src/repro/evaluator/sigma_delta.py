@@ -38,8 +38,14 @@ so the whole bitstream is two :func:`numpy.cumsum`/:func:`numpy.floor`
 passes instead of a Python per-sample loop — the analyzer's dominant
 cost (~70 % of a gain/phase point).  :meth:`FirstOrderSigmaDelta.modulate`
 takes this path automatically for the ideal modulator with in-range
-input and initial state, and falls back to the sample loop otherwise
-(non-idealities couple the state nonlinearly and have no closed form).
+input and initial state.  Otherwise it runs the recurrence sample by
+sample: the ideal loop for an overloaded input or an out-of-range
+initial state, and the non-ideal loop, on Python floats, whenever an
+imperfection is enabled (non-idealities couple the state nonlinearly
+and have no closed form).  The population backend
+(:mod:`repro.engine.vectorized`) calls this method per device for small
+slots and runs the same non-ideal recurrence over device-axis vectors
+for wide ones.
 """
 
 from __future__ import annotations
@@ -192,8 +198,8 @@ class FirstOrderSigmaDelta:
         ):
             bits, u_final = self._modulate_ideal_vectorized(w, u)
             return ModulatorResult(bits, u_initial, u_final, overload)
-        bits = np.empty(len(w), dtype=np.int8)
         if self.is_ideal():
+            bits = np.empty(len(w), dtype=np.int8)
             gv = g * vref
             for i, wi in enumerate(w):
                 d = 1 if u >= 0.0 else -1
@@ -208,15 +214,22 @@ class FirstOrderSigmaDelta:
             )
             leak = 1.0 - amp.inverse_gain * g
             settle = amp.settling_error
-            for i, wi in enumerate(w):
-                d = 1 if u >= threshold else -1
-                bits[i] = d
-                target = leak * u + g * (wi + offset + noise[i] - d * vref)
+            decisions = []
+            decide = decisions.append
+            for wi, ni in zip(w.tolist(), noise.tolist()):
+                if u >= threshold:
+                    decide(True)
+                    feedback = vref
+                else:
+                    decide(False)
+                    feedback = -vref
+                target = leak * u + g * (wi + offset + ni - feedback)
                 u = target - settle * (target - u)
                 if u > u_sat:
                     u = u_sat
                 elif u < -u_sat:
                     u = -u_sat
+            bits = np.where(decisions, 1, -1).astype(np.int8)
         return ModulatorResult(bits, u_initial, float(u), overload)
 
     def _modulate_ideal_vectorized(

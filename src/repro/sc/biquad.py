@@ -162,15 +162,86 @@ class SCBiquad:
         self.v1 = float(v1)
         self.v2 = float(v2)
 
-    def _noise(self, amp: OpAmpModel, ktc_rms: float) -> float:
-        if self.rng is None:
-            return 0.0
-        total = 0.0
-        if amp.noise_rms:
-            total += amp.sample_noise(self.rng)
-        if ktc_rms:
-            total += float(self.rng.normal(0.0, ktc_rms))
-        return total
+    def draw_noise(
+        self, rng: np.random.Generator | None, n_steps: int
+    ) -> tuple[list[float], list[float]]:
+        """Each amplifier's per-step noise for ``n_steps`` steps.
+
+        One bulk ``normal`` call consumes ``rng`` exactly as the
+        step-by-step recurrence would: per step amplifier 1, kT/C 1,
+        amplifier 2, kT/C 2, each only when its RMS is non-zero (a
+        batched draw equals the same scalar draws in sequence).  Each
+        amplifier's draws are accumulated onto ``0.0`` in that order,
+        so a ``-0.0`` draw reads as ``+0.0``, as a running noise total
+        would.  ``rng=None`` gives zeros.
+        """
+        noise1 = np.zeros(n_steps)
+        noise2 = np.zeros(n_steps)
+        sources = [
+            (noise, rms)
+            for noise, rms in (
+                (noise1, self.opamp1.noise_rms),
+                (noise1, self._ktc1),
+                (noise2, self.opamp2.noise_rms),
+                (noise2, self._ktc2),
+            )
+            if rms
+        ]
+        if rng is not None and sources and n_steps:
+            scales = [rms for _, rms in sources]
+            if len(set(scales)) == 1:
+                draws = rng.normal(0.0, scales[0], size=len(scales) * n_steps)
+            else:
+                draws = rng.normal(0.0, np.tile(scales, n_steps))
+            for column, (noise, _) in enumerate(sources):
+                noise += draws[column :: len(sources)]
+        return noise1.tolist(), noise2.tolist()
+
+    def render_row(
+        self,
+        charges: list[float],
+        noise1: list[float],
+        noise2: list[float],
+        v1: float = 0.0,
+        v2: float = 0.0,
+    ) -> tuple[list[float], float, float]:
+        """The non-ideal recurrence over one row of steps.
+
+        ``charges`` are the input charges (see :meth:`step`), ``noise1``
+        and ``noise2`` the amplifiers' per-step noise from
+        :meth:`draw_noise`, and ``(v1, v2)`` the initial state.  Returns
+        the output sequence and the final state; the biquad's own state
+        is left alone.  The loop runs on Python floats: one IEEE
+        operation per term, in the order the difference equations are
+        written, with finite gain, offset, incomplete settling and
+        saturation as in :class:`~repro.sc.opamp.OpAmpModel`.
+        """
+        caps = self.caps
+        amp1, amp2 = self.opamp1, self.opamp2
+        leak1, gain1, a = self._leak1, self._gain1, caps.a
+        be = caps.b + caps.e
+        boff1 = caps.b * amp1.offset
+        leak2, off2 = self._leak2, amp2.offset
+        g2c2 = self._gain2 * self._c2
+        se1, vs1 = amp1.settling_error, float(amp1.v_sat)
+        se2, vs2 = amp2.settling_error, float(amp2.v_sat)
+        out = []
+        append = out.append
+        for q, n1, n2 in zip(charges, noise1, noise2):
+            target1 = leak1 * v1 - gain1 * ((q + a * v2) + boff1) / be + n1
+            v1 = target1 - se1 * (target1 - v1)
+            if v1 > vs1:
+                v1 = vs1
+            elif v1 < -vs1:
+                v1 = -vs1
+            target2 = leak2 * v2 + g2c2 * (v1 + off2) + n2
+            v2 = target2 - se2 * (target2 - v2)
+            if v2 > vs2:
+                v2 = vs2
+            elif v2 < -vs2:
+                v2 = -vs2
+            append(v2)
+        return out, v1, v2
 
     def step(self, input_charge: float) -> float:
         """Advance one generator clock period; returns the output ``v2``.
@@ -178,34 +249,22 @@ class SCBiquad:
         ``input_charge`` is the normalized charge delivered by the input
         branch this period: ``CI(t_n) * Vin`` in unit-capacitor volts.
         """
-        caps = self.caps
-        target1 = (
-            self._leak1 * self.v1
-            - self._gain1
-            * (input_charge + caps.a * self.v2 + caps.b * self.opamp1.offset)
-            / (caps.b + caps.e)
-            + self._noise(self.opamp1, self._ktc1)
+        noise1, noise2 = self.draw_noise(self.rng, 1)
+        out, self.v1, self.v2 = self.render_row(
+            [float(input_charge)], noise1, noise2, self.v1, self.v2
         )
-        v1_new = self.opamp1.saturate(self.opamp1.settle(self.v1, target1))
-        target2 = (
-            self._leak2 * self.v2
-            + self._gain2 * self._c2 * (v1_new + self.opamp2.offset)
-            + self._noise(self.opamp2, self._ktc2)
-        )
-        v2_new = self.opamp2.saturate(self.opamp2.settle(self.v2, target2))
-        self.v1 = v1_new
-        self.v2 = v2_new
-        return v2_new
+        return out[0]
 
     def run(self, input_charges: np.ndarray) -> np.ndarray:
         """Advance over a charge sequence, returning the output sequence."""
         input_charges = np.asarray(input_charges, dtype=float)
         if self.is_ideal():
             return self._run_ideal(input_charges)
-        out = np.empty(len(input_charges))
-        for i, q in enumerate(input_charges):
-            out[i] = self.step(float(q))
-        return out
+        noise1, noise2 = self.draw_noise(self.rng, len(input_charges))
+        out, self.v1, self.v2 = self.render_row(
+            input_charges.tolist(), noise1, noise2, self.v1, self.v2
+        )
+        return np.array(out)
 
     def _run_ideal(self, input_charges: np.ndarray) -> np.ndarray:
         """Vectorizable ideal path (still sequential, but lean)."""

@@ -267,8 +267,16 @@ class AnalyzerService:
             self._completed.inc()
             self._emit(job, state_frame(job))
             self._emit(job, result_frame(job.job_id, result))
-        except ReproError as error:
-            job.error = str(error)
+        except Exception as error:
+            # Any failure, expected or not, ends the job: a job left
+            # running would hold its capacity and dedupe slots forever.
+            if job.terminal:
+                raise
+            job.error = (
+                str(error)
+                if isinstance(error, ReproError)
+                else f"{type(error).__name__}: {error}"
+            )
             job.advance("failed")
             self._failed.inc()
             self._emit(job, state_frame(job))

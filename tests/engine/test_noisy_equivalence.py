@@ -6,8 +6,8 @@ any noise seed, any generator/evaluator noise level, offsets, partial
 settling, saturation, any chunk size — the vectorized backend must
 reproduce the reference backend's integer signatures **exactly** and
 its derived float intervals to a few ulp.  This is the contract that
-lets ``supports_vectorized`` return True unconditionally: there is no
-configuration class left that needs the reference fallback.
+lets every configuration run on the vectorized backend: there is no
+configuration class that needs the reference fallback.
 """
 
 import math
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.core.config import AnalyzerConfig
 from repro.dut.active_rc import ActiveRCLowpass
 from repro.dut.faults import fault_catalog
-from repro.engine import BatchRunner, supports_vectorized
+from repro.engine import BatchRunner
 from repro.sc.opamp import OpAmpModel
 
 M = 6
@@ -79,7 +79,6 @@ class TestPropertyEquivalence:
     @given(config=noisy_configs(), chunk=st.sampled_from([None, 1, 2, 3]))
     @settings(max_examples=20, deadline=None)
     def test_fault_trials_equivalent(self, config, chunk):
-        assert supports_vectorized(config)
         reference = BatchRunner().run_fault_trials(
             DUTS, config, FREQS, m_periods=M
         )

@@ -18,7 +18,7 @@ from repro.core.analyzer import NetworkAnalyzer
 from repro.core.config import AnalyzerConfig
 from repro.dut.active_rc import ActiveRCLowpass, design_mfb_lowpass
 from repro.dut.faults import fault_catalog, full_catalog
-from repro.engine import BatchRunner, supports_vectorized
+from repro.engine import BatchRunner
 from repro.errors import ConfigError
 from repro.faults.campaign import FaultCampaign
 from repro.sc.opamp import OpAmpModel
@@ -238,7 +238,6 @@ class TestSeam:
             generator_opamp=OpAmpModel(noise_rms=30e-6),
             noise_seed=5,
         )
-        assert supports_vectorized(config)
         runner = BatchRunner(backend="vectorized")
         results = runner.run_sweep(GOLDEN, config, [500.0, 1000.0], m_periods=M)
         assert runner.last_stats.backend == "vectorized"
@@ -249,18 +248,6 @@ class TestSeam:
         for a, b in zip(reference, results):
             assert a.output.signature == b.output.signature
             assert a.gain.value == b.gain.value
-
-    def test_supported_configs(self):
-        # Every valid AnalyzerConfig vectorizes — including noisy
-        # generators and the typical() die.
-        assert supports_vectorized(IDEAL)
-        assert supports_vectorized(NOISY)
-        assert supports_vectorized(
-            AnalyzerConfig.ideal(
-                generator_opamp=OpAmpModel(noise_rms=30e-6)
-            )
-        )
-        assert supports_vectorized(AnalyzerConfig.typical())
 
     def test_typical_die_equivalence(self):
         """The paper's typical() die (noisy generator + evaluator) is

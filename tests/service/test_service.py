@@ -205,6 +205,53 @@ class TestSchedulingSemantics:
         snapshot = service.metrics.snapshot()
         assert snapshot["service.jobs.failed"]["value"] == 1
 
+    def test_unexpected_exception_fails_the_job_and_frees_its_slots(
+        self, monkeypatch
+    ):
+        """A non-ReproError must not wedge a one-slot service."""
+        import repro.service.service as service_module
+
+        spec = small_spec(
+            steps=(SweepStep(name="bode", f_start=400.0, f_stop=2500.0, n_points=2),),
+        )
+        real_compile = service_module.compile_scenario
+        calls = []
+
+        def compile_once_broken(job_spec):
+            calls.append(job_spec)
+            if len(calls) == 1:
+                return 1 / 0
+            return real_compile(job_spec)
+
+        monkeypatch.setattr(service_module, "compile_scenario", compile_once_broken)
+
+        async def drain(stream):
+            frames = []
+            while (frame := await stream.get()) is not None:
+                frames.append(frame)
+            return frames
+
+        async def scenario():
+            service = AnalyzerService(max_running=1)
+            broken = service.submit(spec, POLICY)
+            # A wedged job never ends its stream: fail, do not hang.
+            frames = await asyncio.wait_for(
+                drain(service.subscribe(broken)), timeout=60
+            )
+            running_after = service.queue.n_running
+            retry = service.submit(spec, POLICY)
+            result = await asyncio.wait_for(retry.result(), timeout=60)
+            return broken, frames, running_after, retry, result
+
+        broken, frames, running_after, retry, result = asyncio.run(scenario())
+        assert broken.state == "failed"
+        assert frames[-1]["type"] == "error"
+        assert "ZeroDivisionError" in frames[-1]["message"]
+        assert running_after == 0
+        assert retry is not broken
+        assert retry.state == "done"
+        assert [step.name for step in result.steps] == ["bode"]
+
     def test_status_snapshot_reports_queue_cache_and_metrics(self):
         spec = small_spec()
 
