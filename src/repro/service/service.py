@@ -270,8 +270,6 @@ class AnalyzerService:
         except Exception as error:
             # Any failure, expected or not, ends the job: a job left
             # running would hold its capacity and dedupe slots forever.
-            if job.terminal:
-                raise
             job.error = (
                 str(error)
                 if isinstance(error, ReproError)
