@@ -215,14 +215,10 @@ class FirstOrderSigmaDelta:
             leak = 1.0 - amp.inverse_gain * g
             settle = amp.settling_error
             decisions = []
-            decide = decisions.append
             for wi, ni in zip(w.tolist(), noise.tolist()):
-                if u >= threshold:
-                    decide(True)
-                    feedback = vref
-                else:
-                    decide(False)
-                    feedback = -vref
+                decide = u >= threshold
+                decisions.append(decide)
+                feedback = vref if decide else -vref
                 target = leak * u + g * (wi + offset + ni - feedback)
                 u = target - settle * (target - u)
                 if u > u_sat:
