@@ -194,7 +194,7 @@ def _nonideal_bits(
     u = np.array(u0, dtype=float)
     feedback = np.empty_like(u)
     target = np.empty_like(u)
-    scratch = np.empty_like(u)
+    term = np.empty_like(u)
     for i in range(len(drive)):
         decide = decisions[i]
         np.greater_equal(u, threshold, out=decide)
@@ -203,11 +203,11 @@ def _nonideal_bits(
         feedback -= vref
         np.subtract(drive[i], feedback, out=target)
         target *= g
-        np.multiply(u, leak, out=scratch)
-        target += scratch
-        np.subtract(target, u, out=scratch)
-        scratch *= settle
-        np.subtract(target, scratch, out=u)
+        np.multiply(u, leak, out=term)
+        target += term
+        np.subtract(target, u, out=term)
+        term *= settle
+        np.subtract(target, term, out=u)
         if clip:
             np.minimum(u, u_sat, out=u)
             np.maximum(u, -u_sat, out=u)
