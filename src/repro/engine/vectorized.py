@@ -23,10 +23,10 @@ operations:
   through :meth:`~repro.dut.base.DUT.batch_response`.
 * **Population-batched modulators.**  The exact closed-form bitstream of
   the ideal modulator runs as row-wise ``cumsum``/``floor`` over the
-  whole population at once.  Non-ideal (noisy) modulators run the
-  reference recurrence as a time loop over device-axis vectors in wide
-  slots, and the reference per-device modulator (a loop on Python
-  floats) in small ones.
+  whole population at once, in slots of any size.  Non-ideal (noisy)
+  modulators run the reference recurrence as a time loop over
+  device-axis vectors in wide slots, and the reference per-device
+  modulator (a loop on Python floats) in small ones.
 * **Array interval arithmetic.**  Signatures become bounded gain/phase
   through :class:`~repro.intervals.BoundedArray` — one set of array
   expressions for the whole population instead of per-device
@@ -216,12 +216,15 @@ def _nonideal_bits(
 
 #: Below this population size the time-stepped device-axis modulator loop
 #: loses to the reference per-device modulator (NumPy per-op overhead
-#: dominates small vectors); the measurer switches strategy on it.  The
-#: measured crossover of ``PopulationMeasurer.measure`` on one noisy slot
-#: (m = 40, evaluator 1e-4 and generator 5e-5 V rms, catalog faults at the
-#: cutoff; 2-vCPU Xeon, CPython 3.11.7, NumPy 2.4.6), per-device vs
-#: device-axis ms: 16 devices 61 vs 94, 24: 91 vs 104, 32: 114 vs 107,
-#: 64: 191 vs 146.  EXPERIMENTS.md has the full table.
+#: dominates small vectors); the measurer switches strategy on it when a
+#: channel is non-ideal.  Ideal channels take the population closed form
+#: at every size, which measured no slower than the per-device modulator
+#: from one device up (EXPERIMENTS.md).  The measured crossover of
+#: ``PopulationMeasurer.measure`` on one noisy slot (m = 40, evaluator
+#: 1e-4 and generator 5e-5 V rms, catalog faults at the cutoff; 2-vCPU
+#: Xeon, CPython 3.11.7, NumPy 2.4.6), per-device vs device-axis ms:
+#: 16 devices 61 vs 94, 24: 91 vs 104, 32: 114 vs 107, 64: 191 vs 146.
+#: EXPERIMENTS.md has the full table.
 _BATCH_MIN_DEVICES = 32
 
 
@@ -280,6 +283,9 @@ class PopulationMeasurer:
             and config.generator_opamp is not None
             and config.generator_opamp.noise_rms != 0.0
         )
+        self._ideal_channels = _channel_is_ideal(
+            self.evaluator.channel1, self._has_rng
+        ) and _channel_is_ideal(self.evaluator.channel2, self._has_rng)
         self._generator: SinewaveGenerator | None = None
         self._stimulus = np.empty(0)
         self._settle_cache: dict[int, tuple[object, float]] = {}
@@ -411,9 +417,9 @@ class PopulationMeasurer:
 
         channel1 = self.evaluator.channel1
         channel2 = self.evaluator.channel2
-        if n_devices < _BATCH_MIN_DEVICES:
-            # Small populations (a diagnosis-time signature, a short
-            # sweep): the time-stepped device-axis loop would not
+        if not self._ideal_channels and n_devices < _BATCH_MIN_DEVICES:
+            # Small non-ideal populations (a diagnosis-time signature, a
+            # short sweep): the time-stepped device-axis loop would not
             # amortize its per-step NumPy calls — run the reference
             # modulator per device, wired to the job's RNG.
             i1, i2, overload = self._per_device_counts(entries, responses, u0)
@@ -542,7 +548,7 @@ class PopulationMeasurer:
         responses: np.ndarray,
         u0: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Reference modulators per device (small-population path).
+        """Reference modulators per device (small non-ideal slots).
 
         Each device gets fresh modulator instances wired to its job RNG,
         so branch selection, noise consumption and arithmetic are the

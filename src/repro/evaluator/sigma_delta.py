@@ -44,8 +44,9 @@ initial state, and the non-ideal loop, on Python floats, whenever an
 imperfection is enabled (non-idealities couple the state nonlinearly
 and have no closed form).  The population backend
 (:mod:`repro.engine.vectorized`) calls this method per device for small
-slots and runs the same non-ideal recurrence over device-axis vectors
-for wide ones.
+non-ideal slots (and for an ideal slot's rare overloaded device) and
+runs the same non-ideal recurrence over device-axis vectors for wide
+ones.
 """
 
 from __future__ import annotations

@@ -17,10 +17,12 @@ from repro.bist.program import BISTProgram
 from repro.core.config import AnalyzerConfig
 from repro.dut.active_rc import ActiveRCLowpass, design_mfb_lowpass
 from repro.dut.faults import fault_catalog
-from repro.engine import BatchRunner
+from repro.engine import BatchRunner, vectorized
 from repro.errors import ConfigError
 from repro.obs import TraceRecorder
 from repro.sc.opamp import OpAmpModel
+
+from tests.engine.conftest import SPLIT_AT
 
 M = 8
 FREQS = (300.0, 1000.0)
@@ -46,9 +48,21 @@ def fault_signatures(trials):
     return [[m.output.signature for m in trial] for trial in trials]
 
 
+#: Backend cases for the invariance tests: the vectorized backend runs
+#: once with the shipped strategy boundary and once split at
+#: ``SPLIT_AT`` (see ``conftest.py``), so chunked runs put non-ideal
+#: slots on both sides of it.
+BACKEND_CASES = pytest.mark.parametrize(
+    ("backend", "slot_split"),
+    [("reference", None), ("vectorized", None), ("vectorized", SPLIT_AT)],
+    ids=["reference", "vectorized", "vectorized-split"],
+    indirect=["slot_split"],
+)
+
+
 class TestExactChannelInvariance:
-    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
-    def test_fault_trials_chunking_invariant(self, backend):
+    @BACKEND_CASES
+    def test_fault_trials_chunking_invariant(self, backend, slot_split):
         duts = catalog()
         unchunked = fault_signatures(
             BatchRunner(backend=backend).run_fault_trials(
@@ -63,23 +77,26 @@ class TestExactChannelInvariance:
             )
             assert chunked == unchunked
 
-    def test_fault_trials_cross_backend_cross_chunk(self):
-        """Any (backend, chunk) pair lands on the same exact channel."""
+    def test_fault_trials_cross_backend_cross_chunk(self, monkeypatch):
+        """Any (backend, chunk) pair lands on the same exact channel,
+        with the vectorized chunks on either modulator strategy."""
         duts = catalog()
         reference = fault_signatures(
             BatchRunner(chunk_size=4).run_fault_trials(
                 duts, NOISY, FREQS, m_periods=M
             )
         )
-        vectorized = fault_signatures(
-            BatchRunner(backend="vectorized", chunk_size=3).run_fault_trials(
-                duts, NOISY, FREQS, m_periods=M
+        for split in (vectorized._BATCH_MIN_DEVICES, SPLIT_AT):
+            monkeypatch.setattr(vectorized, "_BATCH_MIN_DEVICES", split)
+            chunked = fault_signatures(
+                BatchRunner(backend="vectorized", chunk_size=3).run_fault_trials(
+                    duts, NOISY, FREQS, m_periods=M
+                )
             )
-        )
-        assert reference == vectorized
+            assert chunked == reference
 
-    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
-    def test_sweep_chunking_invariant(self, backend):
+    @BACKEND_CASES
+    def test_sweep_chunking_invariant(self, backend, slot_split):
         frequencies = [200.0, 500.0, 1000.0, 2000.0, 4000.0]
         unchunked = [
             m.output.signature
@@ -96,8 +113,8 @@ class TestExactChannelInvariance:
             ]
             assert chunked == unchunked
 
-    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
-    def test_monte_carlo_lot_chunking_invariant(self, backend):
+    @BACKEND_CASES
+    def test_monte_carlo_lot_chunking_invariant(self, backend, slot_split):
         nominal = design_mfb_lowpass(1000.0)
         frequencies = [1000.0]
         mask = SpecMask.from_golden(
@@ -124,9 +141,13 @@ class TestExactChannelInvariance:
             )
             assert chunked == unchunked
 
-    @pytest.mark.parametrize("config", [AnalyzerConfig.ideal(m_periods=M), NOISY],
-                             ids=["ideal", "noisy"])
-    def test_mixed_pole_lot_matches_reference(self, config):
+    @pytest.mark.parametrize(
+        ("config", "slot_split"),
+        [(AnalyzerConfig.ideal(m_periods=M), None), (NOISY, None), (NOISY, SPLIT_AT)],
+        ids=["ideal", "noisy", "noisy-split"],
+        indirect=["slot_split"],
+    )
+    def test_mixed_pole_lot_matches_reference(self, config, slot_split):
         """The stacked DUT kernel keeps a chunked lot on the reference's
         exact channel when real-pole and complex-pole devices share a
         stack (a critically damped nominal spreads across both)."""

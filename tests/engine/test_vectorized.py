@@ -22,6 +22,7 @@ from repro.engine import BatchRunner
 from repro.errors import ConfigError
 from repro.faults.campaign import FaultCampaign
 from repro.sc.opamp import OpAmpModel
+from tests.engine.conftest import SPLIT_AT
 
 
 # These suites deliberately exercise the historical n_workers=/backend=/
@@ -91,7 +92,8 @@ class TestFaultTrialEquivalence:
 
     @pytest.mark.parametrize("config", [IDEAL, NOISY], ids=["ideal", "noisy"])
     def test_small_population(self, config):
-        """Below the batching threshold the per-device strategy engages."""
+        """Below the batching threshold non-ideal channels take the
+        per-device strategy; ideal ones keep the closed form."""
         duts = [GOLDEN] + small_catalog()[:2]
         reference = BatchRunner().run_fault_trials(duts, config, FREQS, m_periods=M)
         vectorized = BatchRunner(backend="vectorized").run_fault_trials(
@@ -130,9 +132,20 @@ class TestFaultTrialEquivalence:
                 assert_measurements_equivalent(a, b)
 
 
+#: Ideal and noisy analyzers; the noisy one also with the non-ideal
+#: strategy boundary split at ``SPLIT_AT`` (see ``conftest.py``), which
+#: moves these slots from the per-device to the device-axis modulator.
+CONFIG_CASES = pytest.mark.parametrize(
+    ("config", "slot_split"),
+    [(IDEAL, None), (NOISY, None), (NOISY, SPLIT_AT)],
+    ids=["ideal", "noisy", "noisy-split"],
+    indirect=["slot_split"],
+)
+
+
 class TestSweepEquivalence:
-    @pytest.mark.parametrize("config", [IDEAL, NOISY], ids=["ideal", "noisy"])
-    def test_run_sweep(self, config):
+    @CONFIG_CASES
+    def test_run_sweep(self, config, slot_split):
         frequencies = list(np.geomspace(200.0, 5000.0, 12))
         reference = BatchRunner().run_sweep(GOLDEN, config, frequencies, m_periods=M)
         vectorized = BatchRunner(backend="vectorized").run_sweep(
@@ -159,8 +172,8 @@ class TestYieldEquivalence:
         )
         self.program = BISTProgram(self.mask, frequencies, m_periods=M)
 
-    @pytest.mark.parametrize("config", [IDEAL, NOISY], ids=["ideal", "noisy"])
-    def test_trials_identical(self, config):
+    @CONFIG_CASES
+    def test_trials_identical(self, config, slot_split):
         kwargs = dict(
             n_devices=16, component_sigma=0.05, seed=11, config=config
         )
