@@ -167,13 +167,14 @@ class SCBiquad:
     ) -> tuple[list[float], list[float]]:
         """Each amplifier's per-step noise for ``n_steps`` steps.
 
-        One bulk ``normal`` call consumes ``rng`` exactly as the
-        step-by-step recurrence would: per step amplifier 1, kT/C 1,
-        amplifier 2, kT/C 2, each only when its RMS is non-zero (a
-        batched draw equals the same scalar draws in sequence).  Each
-        amplifier's draws are accumulated onto ``0.0`` in that order,
-        so a ``-0.0`` draw reads as ``+0.0``, as a running noise total
-        would.  ``rng=None`` gives zeros.
+        One bulk ``standard_normal`` call consumes ``rng`` exactly as
+        the step-by-step recurrence's ``normal(0.0, rms)`` draws would:
+        per step amplifier 1, kT/C 1, amplifier 2, kT/C 2, each only
+        when its RMS is non-zero.  ``normal(0.0, rms)`` is
+        ``0.0 + rms * standard_normal()``; each column is scaled by its
+        RMS and each amplifier's columns are accumulated onto ``0.0`` in
+        that order, so a ``-0.0`` product reads as ``+0.0`` exactly as
+        in a running noise total.  ``rng=None`` gives zeros.
         """
         noise1 = np.zeros(n_steps)
         noise2 = np.zeros(n_steps)
@@ -188,13 +189,10 @@ class SCBiquad:
             if rms
         ]
         if rng is not None and sources and n_steps:
-            scales = [rms for _, rms in sources]
-            if len(set(scales)) == 1:
-                draws = rng.normal(0.0, scales[0], size=len(scales) * n_steps)
-            else:
-                draws = rng.normal(0.0, np.tile(scales, n_steps))
+            draws = rng.standard_normal((n_steps, len(sources)))
+            draws *= [rms for _, rms in sources]
             for column, (noise, _) in enumerate(sources):
-                noise += draws[column :: len(sources)]
+                noise += draws[:, column]
         return noise1.tolist(), noise2.tolist()
 
     def render_row(
