@@ -13,7 +13,9 @@ before the next request is read.  A ``submit`` streams the job live —
 ``ack``, then every ``state``/``step`` frame as the scheduler emits it,
 down to the terminal ``result`` or ``error`` frame.  Malformed requests
 answer with a single ``error`` frame naming the offending field and
-leave the connection open.
+leave the connection open; a request line longer than
+:data:`MAX_REQUEST_BYTES` is answered with one ``error`` frame and ends
+the connection.
 """
 
 from __future__ import annotations
@@ -38,6 +40,11 @@ from .wire import (
 #: Default bind host — the service is a lab-bench tool, not an
 #: internet-facing one; bind a specific interface explicitly to share it.
 DEFAULT_HOST = "127.0.0.1"
+
+#: Longest request line the server reads (the asyncio stream limit, in
+#: bytes).  A longer line is answered with one ``error`` frame naming
+#: this limit, and the connection is closed.
+MAX_REQUEST_BYTES = 64 * 1024
 
 
 class AnalyzerServer:
@@ -75,7 +82,10 @@ class AnalyzerServer:
         if self._server is not None:
             raise ServiceError("server is already started")
         self._server = await asyncio.start_server(
-            self._handle, host=self.host, port=self._requested_port
+            self._handle,
+            host=self.host,
+            port=self._requested_port,
+            limit=MAX_REQUEST_BYTES,
         )
         return self
 
@@ -111,7 +121,12 @@ class AnalyzerServer:
     ) -> None:
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # readline's report of a line past the stream limit.
+                    await self._refuse_oversized(reader, writer)
+                    return
                 if not line:
                     return
                 if not line.strip():
@@ -134,6 +149,28 @@ class AnalyzerServer:
             return  # client went away mid-stream; the job keeps running
         finally:
             writer.close()
+
+    async def _refuse_oversized(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Answer an oversized request line and end the connection.
+
+        The rest of the line cannot be told apart from the next request,
+        so the server stops reading requests: it sends the error frame,
+        half-closes, and discards input until the client closes too —
+        closing with unread input would reset the connection and could
+        drop the frame before the client reads it.
+        """
+        await self._send(
+            writer,
+            error_frame(
+                f"request line exceeds the {MAX_REQUEST_BYTES}-byte limit; "
+                "closing the connection"
+            ),
+        )
+        writer.write_eof()
+        while await reader.read(MAX_REQUEST_BYTES):
+            pass
 
     async def _dispatch(
         self, writer: asyncio.StreamWriter, request: Request

@@ -19,6 +19,7 @@ from repro.service import (
     status_request,
     submit_request,
 )
+from repro.service.server import MAX_REQUEST_BYTES
 
 SMALL = AnalyzerSettings(m_periods=20)
 POLICY = ExecutionPolicy(backend="vectorized", n_workers=2, chunk_size=2)
@@ -177,6 +178,28 @@ class TestProtocolErrors:
             return True
 
         assert asyncio.run(with_server(go))
+
+    def test_oversized_request_gets_an_error_frame_then_a_close(self):
+        """A line past the stream limit is answered, not dropped: one
+        error frame naming the limit, then the server closes; a new
+        connection is served as usual."""
+
+        def go(port: int):
+            oversized = json.loads(encode_request(status_request()))
+            oversized["padding"] = "x" * (MAX_REQUEST_BYTES + 4096)
+            with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+                stream = sock.makefile("rwb")
+                stream.write(json.dumps(oversized).encode("utf-8") + b"\n")
+                stream.flush()
+                frame = json.loads(stream.readline().decode("utf-8"))
+                after = stream.readline()
+            return frame, after, ServiceClient(port=port).status()
+
+        frame, after, status = asyncio.run(with_server(go))
+        assert frame["type"] == "error"
+        assert str(MAX_REQUEST_BYTES) in frame["message"]
+        assert after == b"", "the connection stayed open after the error frame"
+        assert "jobs" in status
 
     def test_client_rejects_bad_construction(self):
         with pytest.raises(Exception, match="port"):
