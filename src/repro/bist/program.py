@@ -18,9 +18,12 @@ fails but some are inconclusive; pass otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from ..core.analyzer import NetworkAnalyzer
+from ..core.measurement import ratio_db
 from ..errors import ConfigError
+from ..intervals import BoundedArray
 from .limits import SpecMask
 
 
@@ -36,29 +39,72 @@ class PointVerdict:
     verdict: str  # "pass" | "fail" | "ambiguous"
 
 
+def interval_verdict(
+    lower_db: float, upper_db: float, lo: float, hi: float
+) -> str:
+    """The tri-state rule: a gain interval ``[lower_db, upper_db]``
+    against the limits ``[lo, hi]``.
+
+    The verdict is conclusive only when the *whole* interval clears (or
+    violates) the limits.
+    """
+    if lower_db >= lo and upper_db <= hi:
+        return "pass"
+    if upper_db < lo or lower_db > hi:
+        return "fail"
+    return "ambiguous"
+
+
+def device_verdict(verdicts: Iterable[str]) -> str:
+    """A device's verdict from its points': any fail fails the device,
+    else any ambiguous point makes it ambiguous, else it passes."""
+    verdicts = set(verdicts)
+    if "fail" in verdicts:
+        return "fail"
+    if "ambiguous" in verdicts:
+        return "ambiguous"
+    return "pass"
+
+
 def point_verdict(
     frequency: float, gain_db, lo: float, hi: float
 ) -> PointVerdict:
     """Tri-state comparison of one bounded gain against its limits.
 
-    ``gain_db`` is a :class:`~repro.intervals.BoundedValue`; the verdict
-    is conclusive only when the *whole* interval clears (or violates)
-    the limits.
+    ``gain_db`` is a :class:`~repro.intervals.BoundedValue`, judged by
+    :func:`interval_verdict`.
     """
-    if gain_db.lower >= lo and gain_db.upper <= hi:
-        verdict = "pass"
-    elif gain_db.upper < lo or gain_db.lower > hi:
-        verdict = "fail"
-    else:
-        verdict = "ambiguous"
     return PointVerdict(
         frequency=frequency,
         gain_db_lower=gain_db.lower,
         gain_db_upper=gain_db.upper,
         limit_lo_db=lo,
         limit_hi_db=hi,
-        verdict=verdict,
+        verdict=interval_verdict(gain_db.lower, gain_db.upper, lo, hi),
     )
+
+
+def lot_verdicts(
+    gains: Iterable[BoundedArray], limits: Iterable[tuple[float, float]]
+) -> list[str]:
+    """Each device's verdict from per-frequency gain-ratio arrays.
+
+    ``gains`` holds one :class:`~repro.intervals.BoundedArray` per test
+    frequency (element ``i`` is device ``i``'s linear gain) and
+    ``limits`` the matching ``(lo, hi)`` dB limits.  The endpoints go
+    through :func:`~repro.core.measurement.ratio_db` and the rules above
+    as Python floats, so each verdict is the one
+    :func:`point_verdict` and :attr:`BISTReport.verdict` give for the
+    boxed measurements, without building them.
+    """
+    per_frequency = [
+        [
+            interval_verdict(ratio_db(lower), ratio_db(upper), lo, hi)
+            for lower, upper in zip(gain.lower.tolist(), gain.upper.tolist())
+        ]
+        for gain, (lo, hi) in zip(gains, limits)
+    ]
+    return [device_verdict(points) for points in zip(*per_frequency)]
 
 
 @dataclass(frozen=True)
@@ -69,11 +115,7 @@ class BISTReport:
 
     @property
     def verdict(self) -> str:
-        if any(p.verdict == "fail" for p in self.points):
-            return "fail"
-        if any(p.verdict == "ambiguous" for p in self.points):
-            return "ambiguous"
-        return "pass"
+        return device_verdict(p.verdict for p in self.points)
 
     @property
     def failed_points(self) -> tuple[PointVerdict, ...]:

@@ -15,21 +15,28 @@ from ..intervals import BoundedValue
 from ..evaluator.signatures import SignaturePair
 
 
+def ratio_db(x: float, floor_db: float = -200.0) -> float:
+    """One amplitude ratio in decibels, clamped at ``floor_db``.
+
+    Ratios at or below the floor (zero included: the bound "touches
+    zero", the deep-stopband situation where the paper's error band
+    blows up) map to ``floor_db`` itself.
+    """
+    if x <= 10.0 ** (floor_db / 20.0):
+        return floor_db
+    return 20.0 * math.log10(x)
+
+
 def bounded_db(value: BoundedValue, floor_db: float = -200.0) -> BoundedValue:
     """Map an amplitude-ratio interval into decibels.
 
-    ``20*log10`` is monotone, so the endpoints map directly; non-positive
-    lower endpoints clamp to ``floor_db`` (the bound "touches zero", the
-    deep-stopband situation where the paper's error band blows up).
+    ``20*log10`` is monotone, so the endpoints map directly through
+    :func:`ratio_db`.
     """
-
-    def to_db(x: float) -> float:
-        if x <= 10.0 ** (floor_db / 20.0):
-            return floor_db
-        return 20.0 * math.log10(x)
-
     return BoundedValue(
-        to_db(value.value), to_db(value.lower), to_db(value.upper)
+        ratio_db(value.value, floor_db),
+        ratio_db(value.lower, floor_db),
+        ratio_db(value.upper, floor_db),
     )
 
 

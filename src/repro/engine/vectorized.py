@@ -22,22 +22,36 @@ operations:
   recovery the population path never observes); other devices go
   through :meth:`~repro.dut.base.DUT.batch_response`.
 * **Population-batched modulators.**  The exact closed-form bitstream of
-  the ideal modulator runs as row-wise ``cumsum``/``floor`` over the
-  whole population at once, in slots of any size.  Non-ideal (noisy)
+  the ideal modulator runs as row-wise ``cumsum``/``floor`` over a
+  block of devices at a time, in slots of any size.  Non-ideal (noisy)
   modulators run the reference recurrence as a time loop over
   device-axis vectors in wide slots, and the reference per-device
   modulator (a loop on Python floats) in small ones.
+* **Cache-sized blocks for ideal channels.**  An ideal-channel slot is
+  walked in blocks of ``_BLOCK_DEVICES`` devices: each block's response
+  rows are filled into one reused ``(block x mn)`` buffer, its power-up
+  states drawn and its counts taken while the rows are still in cache,
+  so no ``(devices x mn)`` matrix exists and the slot's peak footprint
+  follows the block, not the slot.  The device-axis modulator needs
+  every device at once, so a non-ideal slot is one block.
 * **Array interval arithmetic.**  Signatures become bounded gain/phase
   through :class:`~repro.intervals.BoundedArray` — one set of array
   expressions for the whole population instead of per-device
   :class:`~repro.intervals.BoundedValue` chains.
+  :meth:`PopulationMeasurer.measure` boxes them into per-device
+  measurements for sweeps and fault campaigns; a yield lot reads the
+  gain arrays directly (:meth:`PopulationMeasurer.measure_arrays`) and
+  judges them with the go/no-go rule on Python floats.
 
 Equivalence contract
 --------------------
 The backend reproduces the reference path's *acquisition* exactly: the
-per-job derived noise substreams are consumed in the same order, the
-shared stimulus prefix is bit-identical to each job's private render,
-and the batched modulators produce bit-identical bitstreams — so the
+per-job derived noise substreams are consumed in the same order (each
+slot entry owns its stream, so block-by-block draws keep every stream's
+render, power-up state, channel noise order; a slot whose entries
+share a stream is rejected), the shared stimulus prefix is
+bit-identical to each job's private render, and the batched
+modulators produce bit-identical bitstreams — so the
 integer signatures (and verdict-relevant counts) are **exactly equal**
 to the reference backend's.  The derived float intervals go through
 NumPy's elementwise ``arctan2``/``hypot`` instead of :mod:`math`'s,
@@ -60,6 +74,7 @@ runs on this backend.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.signal import lfilter
@@ -228,6 +243,31 @@ def _nonideal_bits(
 _BATCH_MIN_DEVICES = 32
 
 
+#: Devices per block of an ideal-channel slot (see
+#: ``PopulationMeasurer._counts``): the block's response rows and the
+#: closed form's per-channel working copy stay cache-resident instead of
+#: streaming a ``(devices x mn)`` matrix through memory.  Measured on
+#: ``PopulationMeasurer.measure_arrays`` for one 5000-device ideal slot
+#: (yield_lot shape: m = 20, so mn = 1920; 2-vCPU Xeon with 2 MiB L2 per
+#: core, CPython 3.11.7, NumPy 2.4.6), median of 9, block: slot ms /
+#: counts ms — 8: 405/171, 16: 395/157, 32: 375/143, 64: 368/141,
+#: 128: 374/147, 256: 374/147, 1024: 397/174, whole slot: 528/287.
+#: EXPERIMENTS.md has the context.
+_BLOCK_DEVICES = 64
+
+
+class SlotArrays(NamedTuple):
+    """One measured slot in array form (element ``i`` is entry ``i``)."""
+
+    i1: np.ndarray
+    i2: np.ndarray
+    overload: np.ndarray
+    amplitude: BoundedArray
+    phase: BoundedArray
+    gain: BoundedArray
+    phase_rad: BoundedArray
+
+
 def _count_signatures(bits: np.ndarray, chopped: bool) -> np.ndarray:
     """Row-batched signature counting (the counter's +/-1 convention)."""
     n = bits.shape[1]
@@ -330,7 +370,7 @@ class PopulationMeasurer:
         longer render extends a shorter one sample-for-sample (the
         recurrences are causal).  One cached render therefore serves
         every device, lead-in and sweep frequency as a prefix.  Noisy
-        generators never take this path (see :meth:`_noisy_responses`).
+        generators never take this path (see :meth:`_noisy_held`).
         """
         needed = n_periods * OVERSAMPLING_RATIO
         if len(self._stimulus) < needed:
@@ -389,81 +429,26 @@ class PopulationMeasurer:
     def measure(self, entries) -> list[GainPhaseMeasurement]:
         """Measure one slot of ``(dut, fwave, rng)`` entries, batched."""
         entries = list(entries)
-        if not entries:
-            raise ConfigError("population slot is empty")
+        slot = self.measure_arrays(entries)
         config = self.config
         m = self.m_periods
         n = OVERSAMPLING_RATIO
-        n_devices = len(entries)
-        leads = [self._lead_periods(dut, fwave) for dut, fwave, _ in entries]
-
-        if self._noisy_generator:
-            responses = self._noisy_responses(entries, leads)
-        else:
-            stimulus = self._stimulus_samples(max(leads) + m)
-            responses = self._responses(
-                entries, leads, lambda i, lead: stimulus[: (lead + m) * n]
-            )
-
-        # Per-job RNG consumption, reference order: power-up states
-        # first, then channel-1 noise, then channel-2 noise.
-        u0 = np.zeros((n_devices, 2))
-        if config.random_modulator_state and self._has_rng:
-            bound = 0.5 * self.evaluator.channel1.state_bound
-            for i, (_, _, rng) in enumerate(entries):
-                if rng is not None:
-                    u0[i, 0] = float(rng.uniform(-bound, bound))
-                    u0[i, 1] = float(rng.uniform(-bound, bound))
-
-        channel1 = self.evaluator.channel1
-        channel2 = self.evaluator.channel2
-        if not self._ideal_channels and n_devices < _BATCH_MIN_DEVICES:
-            # Small non-ideal populations (a diagnosis-time signature, a
-            # short sweep): the time-stepped device-axis loop would not
-            # amortize its per-step NumPy calls — run the reference
-            # modulator per device, wired to the job's RNG.
-            i1, i2, overload = self._per_device_counts(entries, responses, u0)
-        else:
-            rngs = [rng for _, _, rng in entries]
-            noise1 = self._draw_noise(channel1, rngs)
-            noise2 = self._draw_noise(channel2, rngs)
-            # The modulation bits are +/-1, so |q * x| == |x| exactly:
-            # both channels share one overload count per device.
-            overload_row = (np.abs(responses) > channel1.vref).sum(
-                axis=1, dtype=np.int64
-            )
-            i1 = self._channel_counts(
-                channel1, self._q1, responses, u0[:, 0], overload_row, noise1
-            )
-            i2 = self._channel_counts(
-                channel2, self._q2, responses, u0[:, 1], overload_row, noise2
-            )
-            overload = 2 * overload_row
-
-        amplitude, phase = self._intervals(i1, i2)
-        if config.image_compensation:
-            amplitude, phase = self._compensate(
-                amplitude, phase, [e[0] for e in entries]
-            )
-        gain = amplitude.div_scalar(self.calibration.amplitude).clamp_nonnegative()
-        phase_rad = phase.sub_scalar(self.calibration.phase)
-
         results = []
         for i, (dut, fwave, _) in enumerate(entries):
             signature = SignaturePair(
-                i1=int(i1[i]),
-                i2=int(i2[i]),
+                i1=int(slot.i1[i]),
+                i2=int(slot.i2[i]),
                 harmonic=1,
                 m_periods=m,
                 oversampling_ratio=n,
                 vref=config.vref,
                 chopped=config.chopped,
-                overload_count=int(overload[i]),
+                overload_count=int(slot.overload[i]),
             )
             output = StimulusMeasurement(
                 fwave=fwave,
-                amplitude=amplitude.item(i),
-                phase=phase.item(i),
+                amplitude=slot.amplitude.item(i),
+                phase=slot.phase.item(i),
                 signature=signature,
             )
             reference = StimulusMeasurement(
@@ -475,17 +460,156 @@ class PopulationMeasurer:
             results.append(
                 GainPhaseMeasurement(
                     fwave=fwave,
-                    gain=gain.item(i),
-                    phase_rad=phase_rad.item(i),
+                    gain=slot.gain.item(i),
+                    phase_rad=slot.phase_rad.item(i),
                     output=output,
                     reference=reference,
                 )
             )
         return results
 
+    def measure_arrays(self, entries) -> SlotArrays:
+        """One slot's signatures and bounded intervals, as arrays.
+
+        :meth:`measure` boxes these per device; a yield lot reads only
+        the gain bounds, so it takes the arrays as they are.
+        """
+        entries = list(entries)
+        if not entries:
+            raise ConfigError("population slot is empty")
+        rngs = [rng for _, _, rng in entries if rng is not None]
+        if len({id(rng) for rng in rngs}) != len(rngs):
+            # Each block draws its entries' streams (render, power-up
+            # state, channel noise) before the next block's: that is
+            # each job's reference order only if no stream is shared.
+            raise ConfigError("population slot entries must not share a noise stream")
+        i1, i2, overload = self._counts(entries)
+        amplitude, phase = self._intervals(i1, i2)
+        if self.config.image_compensation:
+            amplitude, phase = self._compensate(
+                amplitude, phase, [e[0] for e in entries]
+            )
+        return SlotArrays(
+            i1=i1,
+            i2=i2,
+            overload=overload,
+            amplitude=amplitude,
+            phase=phase,
+            gain=amplitude.div_scalar(self.calibration.amplitude).clamp_nonnegative(),
+            phase_rad=phase.sub_scalar(self.calibration.phase),
+        )
+
+    def _counts(self, entries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The slot's signature and overload counts, one device block at a
+        time.
+
+        Ideal channels treat every device on its own, so the slot walks
+        blocks of ``_BLOCK_DEVICES`` rows through one reused response
+        buffer and counts each block while it is still in cache; the
+        device-axis modulator of non-ideal channels needs every device
+        at once, so there the whole slot is one block.
+        """
+        n_devices = len(entries)
+        fill = self._row_filler(entries)
+        block = _BLOCK_DEVICES if self._ideal_channels else n_devices
+        buffer = np.empty((min(block, n_devices), self.mn))
+        i1 = np.empty(n_devices, dtype=np.int64)
+        i2 = np.empty(n_devices, dtype=np.int64)
+        overload = np.empty(n_devices, dtype=np.int64)
+        for start in range(0, n_devices, block):
+            stop = min(start + block, n_devices)
+            responses = buffer[: stop - start]
+            for i in range(start, stop):
+                fill(i, responses[i - start])
+            i1[start:stop], i2[start:stop], overload[start:stop] = (
+                self._block_counts(entries[start:stop], responses)
+            )
+        return i1, i2, overload
+
+    def _block_counts(
+        self, entries, responses: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One block's counts from its filled response rows."""
+        # Per-job RNG consumption, reference order: the render (already
+        # drawn by the fill), then power-up states, then channel-1 noise,
+        # then channel-2 noise.
+        u0 = np.zeros((len(entries), 2))
+        if self.config.random_modulator_state and self._has_rng:
+            bound = 0.5 * self.evaluator.channel1.state_bound
+            for i, (_, _, rng) in enumerate(entries):
+                if rng is not None:
+                    u0[i, 0] = float(rng.uniform(-bound, bound))
+                    u0[i, 1] = float(rng.uniform(-bound, bound))
+
+        channel1 = self.evaluator.channel1
+        channel2 = self.evaluator.channel2
+        if not self._ideal_channels and len(entries) < _BATCH_MIN_DEVICES:
+            # Small non-ideal populations (a diagnosis-time signature, a
+            # short sweep): the time-stepped device-axis loop would not
+            # amortize its per-step NumPy calls — run the reference
+            # modulator per device, wired to the job's RNG.
+            return self._per_device_counts(entries, responses, u0)
+        rngs = [rng for _, _, rng in entries]
+        noise1 = self._draw_noise(channel1, rngs)
+        noise2 = self._draw_noise(channel2, rngs)
+        # The modulation bits are +/-1, so |q * x| == |x| exactly:
+        # both channels share one overload count per device.
+        overload_row = (np.abs(responses) > channel1.vref).sum(
+            axis=1, dtype=np.int64
+        )
+        i1 = self._channel_counts(
+            channel1, self._q1, responses, u0[:, 0], overload_row, noise1
+        )
+        i2 = self._channel_counts(
+            channel2, self._q2, responses, u0[:, 1], overload_row, noise2
+        )
+        return i1, i2, 2 * overload_row
+
     # ------------------------------------------------------------------
-    def _noisy_responses(self, entries, leads) -> np.ndarray:
-        """Per-device noise-perturbed stimuli, one row kernel per device.
+    def _row_filler(self, entries):
+        """``fill(i, out)``: write device ``i``'s measurement window of its
+        response into the row ``out``.
+
+        State-space devices take their z-domain coefficients from one
+        stacked :func:`~repro.dut.statespace.zoh_transfer` call per state
+        order for the whole slot — the kernel ``StateSpaceDUT.process``
+        runs with one row — and keep their own ``lfilter``; other
+        devices go through ``batch_response``.  The held input is the
+        shared stimulus prefix, or for a noisy generator the device's
+        own render (:meth:`_noisy_held`).
+        """
+        m = self.m_periods
+        n = OVERSAMPLING_RATIO
+        mn = self.mn
+        leads = [self._lead_periods(dut, fwave) for dut, fwave, _ in entries]
+        coefficients: list = [None] * len(entries)
+        for rows, stack in stack_by_order([dut.state_space() for dut, _, _ in entries]):
+            dt = np.array([1.0 / (entries[i][1] * n) for i in rows])
+            num, den = zoh_transfer(stack.a, stack.b, stack.c, stack.d, dt)
+            for k, i in enumerate(rows):
+                coefficients[i] = (num[k], den[k])
+        if self._noisy_generator:
+            held_input = self._noisy_held(entries, leads)
+        else:
+            stimulus = self._stimulus_samples(max(leads) + m)
+
+            def held_input(i: int) -> np.ndarray:
+                return stimulus[: (leads[i] + m) * n]
+
+        def fill(i: int, out: np.ndarray) -> None:
+            dut, fwave, _ = entries[i]
+            held = held_input(i)
+            if coefficients[i] is None:
+                output = dut.batch_response(held, fwave * n)
+            else:
+                output = lfilter(*coefficients[i], held)
+            start = leads[i] * n
+            out[:] = output[start : start + mn]
+
+        return fill
+
+    def _noisy_held(self, entries, leads):
+        """``held_input(i)``: device ``i``'s own noise-perturbed stimulus.
 
         A noisy generator gives every job its own stimulus: the biquad's
         two amplifiers each draw one noise sample per generator step
@@ -507,39 +631,12 @@ class PopulationMeasurer:
         hold = OVERSAMPLING_RATIO // GENERATOR_STEPS
         head = settle_head * GENERATOR_STEPS
 
-        def held_input(i: int, lead: int) -> np.ndarray:
+        def held_input(i: int) -> np.ndarray:
             noise1, noise2 = biquad.draw_noise(entries[i][2], steps[i])
             out, _, _ = biquad.render_row(charges[: steps[i]], noise1, noise2)
             return np.repeat(out[head:], hold)
 
-        return self._responses(entries, leads, held_input)
-
-    def _responses(self, entries, leads, held_input) -> np.ndarray:
-        """Each device's measurement window of its response to
-        ``held_input(i, lead)``, its held stimulus including the lead-in.
-
-        State-space devices take their z-domain coefficients from one
-        stacked :func:`~repro.dut.statespace.zoh_transfer` call per state
-        order — the kernel ``StateSpaceDUT.process`` runs with one row —
-        and keep their own ``lfilter``; other devices go through
-        ``batch_response``.
-        """
-        n = OVERSAMPLING_RATIO
-        coefficients: list = [None] * len(entries)
-        for rows, stack in stack_by_order([dut.state_space() for dut, _, _ in entries]):
-            dt = np.array([1.0 / (entries[i][1] * n) for i in rows])
-            num, den = zoh_transfer(stack.a, stack.b, stack.c, stack.d, dt)
-            for k, i in enumerate(rows):
-                coefficients[i] = (num[k], den[k])
-        responses = np.empty((len(entries), self.mn))
-        for i, ((dut, fwave, _), lead) in enumerate(zip(entries, leads)):
-            held = held_input(i, lead)
-            if coefficients[i] is None:
-                output = dut.batch_response(held, fwave * n)
-            else:
-                output = lfilter(*coefficients[i], held)
-            responses[i] = output[lead * n : lead * n + self.mn]
-        return responses
+        return held_input
 
     # ------------------------------------------------------------------
     def _per_device_counts(
@@ -769,34 +866,35 @@ def run_trials_vectorized(
     (one seeded RNG, device order), which keeps the population
     identical across backends *and* across chunk boundaries; the
     measurements then run as one slot per program frequency, and the
-    go/no-go verdicts reuse the same tri-state interval logic.
+    go/no-go verdicts come from the slots' gain arrays through the same
+    tri-state interval rule (:func:`repro.bist.program.lot_verdicts`).
     ``start_index`` is the lot index of ``devices[0]``.
     """
     from ..bist.montecarlo import DeviceTrial, _truly_good
-    from ..bist.program import BISTReport, point_verdict
+    from ..bist.program import lot_verdicts
 
     devices = list(devices)
-    n_devices = len(devices)
     job_rngs = [
-        _job_rng(config, "trial", start_index + i) for i in range(n_devices)
+        _job_rng(config, "trial", start_index + i) for i in range(len(devices))
     ]
     if measurer is None:
         measurer = PopulationMeasurer(config, program.m_periods, calibration)
     measurer.reserve(devices, program.frequencies)
-    points: list[list] = [[] for _ in range(n_devices)]
     truly_good = _truly_good(devices, mask, program.frequencies)
-    for f in program.frequencies:
-        slot = measurer.measure(
+    gains = [
+        measurer.measure_arrays(
             [(device, f, job_rng) for device, job_rng in zip(devices, job_rngs)]
-        )
-        lo, hi = program.mask.limits_at(f)
-        for i, measurement in enumerate(slot):
-            points[i].append(point_verdict(f, measurement.gain_db, lo, hi))
+        ).gain
+        for f in program.frequencies
+    ]
+    verdicts = lot_verdicts(
+        gains, [program.mask.limits_at(f) for f in program.frequencies]
+    )
     return [
         DeviceTrial(
             device_index=start_index + i,
-            verdict=BISTReport(points=tuple(points[i])).verdict,
-            truly_good=truly_good[i],
+            verdict=verdict,
+            truly_good=good,
         )
-        for i in range(n_devices)
+        for i, (verdict, good) in enumerate(zip(verdicts, truly_good))
     ]

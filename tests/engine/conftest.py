@@ -27,3 +27,24 @@ def slot_split(request, monkeypatch):
     if split is not None:
         monkeypatch.setattr(vectorized, "_BATCH_MIN_DEVICES", split)
     return vectorized._BATCH_MIN_DEVICES
+
+
+#: A device block small enough that the fixtures' ideal-channel slots
+#: span several blocks, most of them ending in a partial tail block.
+BLOCK_AT = 3
+
+
+@pytest.fixture
+def slot_block(request, monkeypatch):
+    """Shrink the vectorized measurer's ideal-slot device block.
+
+    Parametrize indirectly with a block size: ideal-channel slots then
+    fill, draw and count that many devices at a time.  ``None`` (or no
+    parameter) keeps the shipped ``_BLOCK_DEVICES``, which is above the
+    slot sizes of the tests that use this fixture, so those slots are
+    one block each.
+    """
+    block = getattr(request, "param", None)
+    if block is not None:
+        monkeypatch.setattr(vectorized, "_BLOCK_DEVICES", block)
+    return vectorized._BLOCK_DEVICES

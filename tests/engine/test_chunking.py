@@ -22,7 +22,7 @@ from repro.errors import ConfigError
 from repro.obs import TraceRecorder
 from repro.sc.opamp import OpAmpModel
 
-from tests.engine.conftest import SPLIT_AT
+from tests.engine.conftest import BLOCK_AT, SPLIT_AT
 
 M = 8
 FREQS = (300.0, 1000.0)
@@ -39,6 +39,19 @@ NOISY = AnalyzerConfig.ideal(
 )
 
 
+#: Ideal modulator channels on per-device noisy stimuli with random
+#: power-up states: under ``slot_block`` every 3-device block draws its
+#: devices' renders and power-up states, and the drive is high enough
+#: that catalog faults overload the modulator in later blocks.
+BLOCKED = AnalyzerConfig.ideal(
+    m_periods=M,
+    stimulus_amplitude=0.48,
+    generator_opamp=OpAmpModel(noise_rms=50e-6),
+    noise_seed=3,
+    random_modulator_state=True,
+)
+
+
 def catalog():
     deviations = [-0.4, -0.2, 0.2, 0.4]
     return [GOLDEN] + [f.apply(GOLDEN) for f in fault_catalog(deviations)]
@@ -51,31 +64,54 @@ def fault_signatures(trials):
 #: Backend cases for the invariance tests: the vectorized backend runs
 #: once with the shipped strategy boundary and once split at
 #: ``SPLIT_AT`` (see ``conftest.py``), so chunked runs put non-ideal
-#: slots on both sides of it.
+#: slots on both sides of it; ``blocked`` runs the ideal-channel
+#: ``BLOCKED`` analyzer in ``BLOCK_AT``-device blocks, so chunk edges
+#: fall mid-block and slots end in partial blocks.
 BACKEND_CASES = pytest.mark.parametrize(
-    ("backend", "slot_split"),
-    [("reference", None), ("vectorized", None), ("vectorized", SPLIT_AT)],
-    ids=["reference", "vectorized", "vectorized-split"],
-    indirect=["slot_split"],
+    ("backend", "config", "slot_split", "slot_block"),
+    [
+        ("reference", NOISY, None, None),
+        ("vectorized", NOISY, None, None),
+        ("vectorized", NOISY, SPLIT_AT, None),
+        ("vectorized", BLOCKED, None, BLOCK_AT),
+    ],
+    ids=["reference", "vectorized", "vectorized-split", "blocked"],
+    indirect=["slot_split", "slot_block"],
 )
 
 
 class TestExactChannelInvariance:
     @BACKEND_CASES
-    def test_fault_trials_chunking_invariant(self, backend, slot_split):
+    def test_fault_trials_chunking_invariant(
+        self, backend, config, slot_split, slot_block
+    ):
         duts = catalog()
         unchunked = fault_signatures(
             BatchRunner(backend=backend).run_fault_trials(
-                duts, NOISY, FREQS, m_periods=M
+                duts, config, FREQS, m_periods=M
             )
         )
         for chunk in (1, 2, 3, len(duts), 100):
             chunked = fault_signatures(
                 BatchRunner(backend=backend, chunk_size=chunk).run_fault_trials(
-                    duts, NOISY, FREQS, m_periods=M
+                    duts, config, FREQS, m_periods=M
                 )
             )
             assert chunked == unchunked
+
+    def test_blocked_catalog_overloads_in_a_later_block(self):
+        """The ``blocked`` fault case reaches the ideal channels' scalar
+        overload fallback beyond the first block, on the reference
+        backend's own counts."""
+        trials = BatchRunner().run_fault_trials(
+            catalog(), BLOCKED, FREQS, m_periods=M
+        )
+        overloaded = [
+            i
+            for i, trial in enumerate(trials)
+            if any(m.output.signature.overload_count for m in trial)
+        ]
+        assert any(i >= BLOCK_AT for i in overloaded), overloaded
 
     def test_fault_trials_cross_backend_cross_chunk(self, monkeypatch):
         """Any (backend, chunk) pair lands on the same exact channel,
@@ -96,25 +132,29 @@ class TestExactChannelInvariance:
             assert chunked == reference
 
     @BACKEND_CASES
-    def test_sweep_chunking_invariant(self, backend, slot_split):
+    def test_sweep_chunking_invariant(
+        self, backend, config, slot_split, slot_block
+    ):
         frequencies = [200.0, 500.0, 1000.0, 2000.0, 4000.0]
         unchunked = [
             m.output.signature
             for m in BatchRunner(backend=backend).run_sweep(
-                GOLDEN, NOISY, frequencies, m_periods=M
+                GOLDEN, config, frequencies, m_periods=M
             )
         ]
         for chunk in (1, 2, 3):
             chunked = [
                 m.output.signature
                 for m in BatchRunner(backend=backend, chunk_size=chunk).run_sweep(
-                    GOLDEN, NOISY, frequencies, m_periods=M
+                    GOLDEN, config, frequencies, m_periods=M
                 )
             ]
             assert chunked == unchunked
 
     @BACKEND_CASES
-    def test_monte_carlo_lot_chunking_invariant(self, backend, slot_split):
+    def test_monte_carlo_lot_chunking_invariant(
+        self, backend, config, slot_split, slot_block
+    ):
         nominal = design_mfb_lowpass(1000.0)
         frequencies = [1000.0]
         mask = SpecMask.from_golden(
@@ -122,7 +162,7 @@ class TestExactChannelInvariance:
         )
         program = BISTProgram(mask, frequencies, m_periods=M)
         kwargs = dict(
-            n_devices=14, component_sigma=0.05, seed=11, config=NOISY
+            n_devices=14, component_sigma=0.05, seed=11, config=config
         )
 
         def key(trials):

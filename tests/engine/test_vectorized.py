@@ -18,11 +18,11 @@ from repro.core.analyzer import NetworkAnalyzer
 from repro.core.config import AnalyzerConfig
 from repro.dut.active_rc import ActiveRCLowpass, design_mfb_lowpass
 from repro.dut.faults import fault_catalog, full_catalog
-from repro.engine import BatchRunner
+from repro.engine import BatchRunner, PopulationMeasurer
 from repro.errors import ConfigError
 from repro.faults.campaign import FaultCampaign
 from repro.sc.opamp import OpAmpModel
-from tests.engine.conftest import SPLIT_AT
+from tests.engine.conftest import BLOCK_AT, SPLIT_AT
 
 
 # These suites deliberately exercise the historical n_workers=/backend=/
@@ -45,6 +45,16 @@ NOISY = AnalyzerConfig.ideal(
 NOISY_RANDOM_STATE = AnalyzerConfig.ideal(
     m_periods=M,
     evaluator_opamp=OpAmpModel(noise_rms=50e-6),
+    noise_seed=7,
+    random_modulator_state=True,
+)
+
+#: Ideal channels with random power-up states, driven hard enough that
+#: some lot devices overload the modulator at the lowest program
+#: frequency (see ``TestYieldEquivalence``).
+BLOCKED = AnalyzerConfig.ideal(
+    m_periods=M,
+    stimulus_amplitude=0.48,
     noise_seed=7,
     random_modulator_state=True,
 )
@@ -163,6 +173,23 @@ class TestSweepEquivalence:
             assert_measurements_equivalent(a, b)
 
 
+#: ``CONFIG_CASES`` plus ``blocked``: the ``BLOCKED`` analyzer in
+#: ``BLOCK_AT``-device blocks (see ``conftest.py``), so each slot ends in
+#: a partial block, power-up states are drawn block by block, and
+#: overloading devices take the scalar fallback in later blocks.
+YIELD_CASES = pytest.mark.parametrize(
+    ("config", "slot_split", "slot_block"),
+    [
+        (IDEAL, None, None),
+        (NOISY, None, None),
+        (NOISY, SPLIT_AT, None),
+        (BLOCKED, None, BLOCK_AT),
+    ],
+    ids=["ideal", "noisy", "noisy-split", "blocked"],
+    indirect=["slot_split", "slot_block"],
+)
+
+
 class TestYieldEquivalence:
     def setup_method(self):
         self.nominal = design_mfb_lowpass(1000.0)
@@ -172,8 +199,26 @@ class TestYieldEquivalence:
         )
         self.program = BISTProgram(self.mask, frequencies, m_periods=M)
 
-    @CONFIG_CASES
-    def test_trials_identical(self, config, slot_split):
+    def test_blocked_lot_overloads_in_a_later_block(self):
+        """The ``blocked`` case's lot (drawn as ``run_trials`` draws it)
+        overloads the modulator beyond the first block."""
+        rng = np.random.default_rng(11)
+        devices = [
+            ActiveRCLowpass(self.nominal.with_tolerance(0.05, rng))
+            for _ in range(16)
+        ]
+        trials = BatchRunner().run_fault_trials(
+            devices, BLOCKED, self.program.frequencies, m_periods=M
+        )
+        overloaded = [
+            i
+            for i, trial in enumerate(trials)
+            if any(m.output.signature.overload_count for m in trial)
+        ]
+        assert any(i >= BLOCK_AT for i in overloaded), overloaded
+
+    @YIELD_CASES
+    def test_trials_identical(self, config, slot_split, slot_block):
         kwargs = dict(
             n_devices=16, component_sigma=0.05, seed=11, config=config
         )
@@ -282,3 +327,24 @@ class TestSeam:
         runner.run_sweep(GOLDEN, IDEAL, [500.0], m_periods=M)
         assert runner.last_stats.cache_hits == 1
         assert runner.last_stats.cache_misses == 0
+
+    def test_slot_rejects_shared_noise_streams(self):
+        """Blocks draw each entry's stream on its own, which is only the
+        reference order when no two entries share a stream."""
+        calibration = BatchRunner().calibration_for(NOISY, 1000.0, M)
+        measurer = PopulationMeasurer(NOISY, M, calibration)
+        rng = np.random.default_rng(0)
+        with pytest.raises(ConfigError, match="share a noise stream"):
+            measurer.measure([(GOLDEN, 1000.0, rng), (GOLDEN, 500.0, rng)])
+
+    def test_arrays_are_what_measure_boxes(self):
+        """``measure`` boxes ``measure_arrays`` element by element."""
+        calibration = BatchRunner().calibration_for(IDEAL, 1000.0, M)
+        measurer = PopulationMeasurer(IDEAL, M, calibration)
+        entries = [(dut, 1000.0, None) for dut in [GOLDEN] + small_catalog()]
+        arrays = measurer.measure_arrays(entries)
+        for i, measurement in enumerate(measurer.measure(entries)):
+            assert measurement.output.signature.i1 == arrays.i1[i]
+            assert measurement.output.signature.i2 == arrays.i2[i]
+            assert measurement.gain == arrays.gain.item(i)
+            assert measurement.phase_rad == arrays.phase_rad.item(i)
