@@ -38,10 +38,10 @@ operations:
   through :class:`~repro.intervals.BoundedArray` — one set of array
   expressions for the whole population instead of per-device
   :class:`~repro.intervals.BoundedValue` chains.
-  :meth:`PopulationMeasurer.measure` boxes them into per-device
-  measurements for sweeps and fault campaigns; a yield lot reads the
-  gain arrays directly (:meth:`PopulationMeasurer.measure_arrays`) and
-  judges them with the go/no-go rule on Python floats.
+  :meth:`PopulationMeasurer.measure` returns a slot in this array
+  form; sweeps and fault campaigns box it into per-device measurements
+  (:meth:`PopulationMeasurer.box`), while a yield lot judges the gain
+  arrays with the go/no-go rule on Python floats.
 
 Equivalence contract
 --------------------
@@ -247,7 +247,7 @@ _BATCH_MIN_DEVICES = 32
 #: ``PopulationMeasurer._counts``): the block's response rows and the
 #: closed form's per-channel working copy stay cache-resident instead of
 #: streaming a ``(devices x mn)`` matrix through memory.  Measured on
-#: ``PopulationMeasurer.measure_arrays`` for one 5000-device ideal slot
+#: ``PopulationMeasurer.measure`` for one 5000-device ideal slot
 #: (yield_lot shape: m = 20, so mn = 1920; 2-vCPU Xeon with 2 MiB L2 per
 #: core, CPython 3.11.7, NumPy 2.4.6), median of 9, block: slot ms /
 #: counts ms — 8: 405/171, 16: 395/157, 32: 375/143, 64: 368/141,
@@ -259,6 +259,7 @@ _BLOCK_DEVICES = 64
 class SlotArrays(NamedTuple):
     """One measured slot in array form (element ``i`` is entry ``i``)."""
 
+    fwaves: list[float]
     i1: np.ndarray
     i2: np.ndarray
     overload: np.ndarray
@@ -426,21 +427,50 @@ class PopulationMeasurer:
     # ------------------------------------------------------------------
     # One batched slot
     # ------------------------------------------------------------------
-    def measure(self, entries) -> list[GainPhaseMeasurement]:
-        """Measure one slot of ``(dut, fwave, rng)`` entries, batched."""
+    def measure(self, entries) -> SlotArrays:
+        """Measure one slot of ``(dut, fwave, rng)`` entries, batched.
+
+        The result stays in array form: sweeps and fault campaigns box
+        it per device (:meth:`box`); a yield lot reads only the gain
+        bounds, so it takes the arrays as they are.
+        """
         entries = list(entries)
-        slot = self.measure_arrays(entries)
+        if not entries:
+            raise ConfigError("population slot is empty")
+        rngs = [rng for _, _, rng in entries if rng is not None]
+        if len({id(rng) for rng in rngs}) != len(rngs):
+            # Each block draws its entries' streams (render, power-up
+            # state, channel noise) before the next block's: that is
+            # each job's reference order only if no stream is shared.
+            raise ConfigError("population slot entries must not share a noise stream")
+        i1, i2, overload = self._counts(entries)
+        amplitude, phase = self._intervals(i1, i2)
+        if self.config.image_compensation:
+            amplitude, phase = self._compensate(
+                amplitude, phase, [e[0] for e in entries]
+            )
+        return SlotArrays(
+            fwaves=[fwave for _, fwave, _ in entries],
+            i1=i1,
+            i2=i2,
+            overload=overload,
+            amplitude=amplitude,
+            phase=phase,
+            gain=amplitude.div_scalar(self.calibration.amplitude).clamp_nonnegative(),
+            phase_rad=phase.sub_scalar(self.calibration.phase),
+        )
+
+    def box(self, slot: SlotArrays) -> list[GainPhaseMeasurement]:
+        """A measured slot as one :class:`GainPhaseMeasurement` per entry."""
         config = self.config
-        m = self.m_periods
-        n = OVERSAMPLING_RATIO
         results = []
-        for i, (dut, fwave, _) in enumerate(entries):
+        for i, fwave in enumerate(slot.fwaves):
             signature = SignaturePair(
                 i1=int(slot.i1[i]),
                 i2=int(slot.i2[i]),
                 harmonic=1,
-                m_periods=m,
-                oversampling_ratio=n,
+                m_periods=self.m_periods,
+                oversampling_ratio=OVERSAMPLING_RATIO,
                 vref=config.vref,
                 chopped=config.chopped,
                 overload_count=int(slot.overload[i]),
@@ -467,37 +497,6 @@ class PopulationMeasurer:
                 )
             )
         return results
-
-    def measure_arrays(self, entries) -> SlotArrays:
-        """One slot's signatures and bounded intervals, as arrays.
-
-        :meth:`measure` boxes these per device; a yield lot reads only
-        the gain bounds, so it takes the arrays as they are.
-        """
-        entries = list(entries)
-        if not entries:
-            raise ConfigError("population slot is empty")
-        rngs = [rng for _, _, rng in entries if rng is not None]
-        if len({id(rng) for rng in rngs}) != len(rngs):
-            # Each block draws its entries' streams (render, power-up
-            # state, channel noise) before the next block's: that is
-            # each job's reference order only if no stream is shared.
-            raise ConfigError("population slot entries must not share a noise stream")
-        i1, i2, overload = self._counts(entries)
-        amplitude, phase = self._intervals(i1, i2)
-        if self.config.image_compensation:
-            amplitude, phase = self._compensate(
-                amplitude, phase, [e[0] for e in entries]
-            )
-        return SlotArrays(
-            i1=i1,
-            i2=i2,
-            overload=overload,
-            amplitude=amplitude,
-            phase=phase,
-            gain=amplitude.div_scalar(self.calibration.amplitude).clamp_nonnegative(),
-            phase_rad=phase.sub_scalar(self.calibration.phase),
-        )
 
     def _counts(self, entries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The slot's signature and overload counts, one device block at a
@@ -811,7 +810,7 @@ def run_sweep_vectorized(
         (dut, float(f), _job_rng(config, "sweep", start_index + i))
         for i, f in enumerate(frequencies)
     ]
-    return measurer.measure(entries)
+    return measurer.box(measurer.measure(entries))
 
 
 def run_fault_trials_vectorized(
@@ -840,8 +839,10 @@ def run_fault_trials_vectorized(
         _job_rng(config, stream, start_index + i) for i in range(len(duts))
     ]
     per_frequency = [
-        measurer.measure(
-            [(dut, float(f), rng) for dut, rng in zip(duts, rngs)]
+        measurer.box(
+            measurer.measure(
+                [(dut, float(f), rng) for dut, rng in zip(duts, rngs)]
+            )
         )
         for f in frequencies
     ]
@@ -882,7 +883,7 @@ def run_trials_vectorized(
     measurer.reserve(devices, program.frequencies)
     truly_good = _truly_good(devices, mask, program.frequencies)
     gains = [
-        measurer.measure_arrays(
+        measurer.measure(
             [(device, f, job_rng) for device, job_rng in zip(devices, job_rngs)]
         ).gain
         for f in program.frequencies

@@ -336,15 +336,3 @@ class TestSeam:
         rng = np.random.default_rng(0)
         with pytest.raises(ConfigError, match="share a noise stream"):
             measurer.measure([(GOLDEN, 1000.0, rng), (GOLDEN, 500.0, rng)])
-
-    def test_arrays_are_what_measure_boxes(self):
-        """``measure`` boxes ``measure_arrays`` element by element."""
-        calibration = BatchRunner().calibration_for(IDEAL, 1000.0, M)
-        measurer = PopulationMeasurer(IDEAL, M, calibration)
-        entries = [(dut, 1000.0, None) for dut in [GOLDEN] + small_catalog()]
-        arrays = measurer.measure_arrays(entries)
-        for i, measurement in enumerate(measurer.measure(entries)):
-            assert measurement.output.signature.i1 == arrays.i1[i]
-            assert measurement.output.signature.i2 == arrays.i2[i]
-            assert measurement.gain == arrays.gain.item(i)
-            assert measurement.phase_rad == arrays.phase_rad.item(i)
