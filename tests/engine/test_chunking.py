@@ -40,9 +40,9 @@ NOISY = AnalyzerConfig.ideal(
 
 
 #: Ideal modulator channels on per-device noisy stimuli with random
-#: power-up states: under ``slot_block`` every 3-device block draws its
-#: devices' renders and power-up states, and the drive is high enough
-#: that catalog faults overload the modulator in later blocks.
+#: power-up states: under ``slot_block`` every ``BLOCK_AT``-device block
+#: draws its devices' renders and power-up states, and the drive is high
+#: enough that catalog faults overload the modulator in later blocks.
 BLOCKED = AnalyzerConfig.ideal(
     m_periods=M,
     stimulus_amplitude=0.48,
