@@ -24,7 +24,7 @@ import numpy as np
 
 from ..core.config import AnalyzerConfig
 from ..dut.active_rc import FilterComponents
-from ..dut.statespace import frequency_responses, stack_by_order
+from ..dut.statespace import Population, frequency_responses
 from .limits import SpecMask
 from .program import BISTProgram
 
@@ -97,7 +97,7 @@ class YieldReport:
         )
 
 
-def _truly_good(duts, mask: SpecMask, frequencies) -> list[bool]:
+def _truly_good(population: Population, mask: SpecMask, frequencies) -> list[bool]:
     """Each device's true spec compliance at the masked frequencies.
 
     One stacked solve per frequency covers the whole population
@@ -105,11 +105,10 @@ def _truly_good(duts, mask: SpecMask, frequencies) -> list[bool]:
     every device's own ``frequency_response``); the gain in dB is formed
     as :meth:`~repro.dut.base.DUT.gain_db_at` forms it.  Both execution
     backends call this, the reference one with a single device.  Yield
-    lots are built from :class:`~repro.dut.active_rc.ActiveRCLowpass`
-    devices, which all expose :meth:`~repro.dut.base.DUT.state_space`.
+    lots are MFB low-pass devices, so every row has a state-space stack.
     """
-    good = np.ones(len(duts), dtype=bool)
-    for rows, stack in stack_by_order([dut.state_space() for dut in duts]):
+    good = np.ones(len(population), dtype=bool)
+    for rows, stack in population.stacks:
         for f in frequencies:
             limits = mask.limits_at(f)
             if limits is None:

@@ -18,6 +18,12 @@ with transfer ``H(s) = -(G1/G2) * w0^2 / (s^2 + (w0/Q) s + w0^2)``,
 The MFB stage inverts; the demonstrator board's differential wiring
 absorbs the sign, so the model's default polarity is positive (DC gain
 +1), matching the paper's Bode plots that start at 0 dB / 0 degrees.
+
+A production lot is drawn as one component array
+(:meth:`FilterComponents.draw_lot`) and goes straight to the stacked
+form a measured slot consumes (:func:`lot_population`), with no
+per-device objects; :class:`ActiveRCLowpass` forms its model with the
+same :func:`mfb_state_space`, one row.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import numpy as np
 from ..errors import ConfigError, FaultError
 from ..signals.waveform import Waveform
 from .base import DUT
-from .statespace import StateSpaceDUT
+from .statespace import Population, StateSpaceDUT, StateSpaceStack, settle_seconds
 
 
 @dataclass(frozen=True)
@@ -70,13 +76,25 @@ class FilterComponents:
         self, sigma: float, rng: np.random.Generator
     ) -> "FilterComponents":
         """A manufacturing-spread copy (each component i.i.d. Gaussian)."""
-        if sigma < 0:
-            raise ConfigError(f"sigma must be >= 0, got {sigma!r}")
-        values = {
-            name: getattr(self, name) * (1.0 + rng.normal(0.0, sigma))
-            for name in self._NAMES
-        }
-        return FilterComponents(**values)
+        return FilterComponents(*self.draw_lot(sigma, rng, 1)[0].tolist())
+
+    def draw_lot(self, sigma: float, rng: np.random.Generator, n: int) -> np.ndarray:
+        """``n`` manufacturing-spread copies as one ``(n, 5)`` array.
+
+        Columns are ``r1, r2, r3, c1, c2``; one ``normal`` call draws the
+        values ``n`` successive :meth:`with_tolerance` calls would, in
+        the same order.  A non-positive draw raises the error its
+        :class:`FilterComponents` would: the first device, its first
+        component.
+        """
+        if not (math.isfinite(sigma) and sigma >= 0):
+            raise ConfigError(f"sigma must be finite and >= 0, got {sigma!r}")
+        nominal = np.array([getattr(self, name) for name in self._NAMES])
+        values = nominal * (1.0 + rng.normal(0.0, sigma, size=(n, len(self._NAMES))))
+        bad = np.flatnonzero(~np.all(values > 0, axis=1))
+        if len(bad):
+            FilterComponents(*values[bad[0]].tolist())
+        return values
 
 
 def design_mfb_lowpass(
@@ -109,6 +127,54 @@ def design_mfb_lowpass(
     g1 = gain * g2
     g3 = w0 * w0 * c1 * c2 / g2
     return FilterComponents(r1=1.0 / g1, r2=1.0 / g2, r3=1.0 / g3, c1=c1, c2=c2)
+
+
+def mfb_state_space(values: np.ndarray, polarity: int = 1) -> StateSpaceStack:
+    """Stacked MFB state space of component rows ``(N, 5)`` (``r1..c2``).
+
+    Nodal analysis (module docstring) written elementwise, so row ``i``
+    holds the very floats a one-row call for device ``i`` forms.
+    """
+    r1, r2, r3, c1, c2 = np.asarray(values, dtype=float).T
+    g1 = 1.0 / r1
+    g2 = 1.0 / r2
+    g3 = 1.0 / r3
+    rows = len(r1)
+    a = np.zeros((rows, 2, 2))
+    a[:, 0, 0] = -(g1 + g2 + g3) / c1
+    a[:, 0, 1] = g2 / c1
+    a[:, 1, 0] = -g3 / c2
+    b = np.zeros((rows, 2))
+    b[:, 0] = g1 / c1
+    # MFB output inverts; fold the board polarity into C.
+    c = np.zeros((rows, 2))
+    c[:, 1] = -float(polarity)
+    return StateSpaceStack(a=a, b=b, c=c, d=np.zeros(rows))
+
+
+def lot_population(values: np.ndarray, tolerance: float, start: int = 0) -> Population:
+    """A drawn component lot ``(N, 5)`` as one stacked :class:`Population`.
+
+    The stability check and settling times of ``N`` default-polarity
+    :class:`ActiveRCLowpass` builds, run once on the stack; ``start``
+    is the lot index of row 0, named by an unstable device's error.
+    """
+    stack = mfb_state_space(values)
+    poles = np.linalg.eigvals(stack.a)
+    unstable = np.flatnonzero(np.any(poles.real >= 0, axis=1))
+    if len(unstable):
+        i = unstable[0]
+        raise ConfigError(
+            f"device #{start + i}: continuous system must be strictly stable; "
+            f"eigenvalues {poles[i]}"
+        )
+    rows = len(values)
+    return Population(
+        stacks=[(np.arange(rows), stack)],
+        settle=settle_seconds(poles, tolerance),
+        continuous=np.ones(rows, dtype=bool),
+        others={},
+    )
 
 
 class ActiveRCLowpass(DUT):
@@ -155,19 +221,11 @@ class ActiveRCLowpass(DUT):
 
     def _build_core(self) -> StateSpaceDUT:
         comps = self.components
-        g1 = 1.0 / comps.r1
-        g2 = 1.0 / comps.r2
-        g3 = 1.0 / comps.r3
-        a = np.array(
-            [
-                [-(g1 + g2 + g3) / comps.c1, g2 / comps.c1],
-                [-g3 / comps.c2, 0.0],
-            ]
+        a, b, c, _ = mfb_state_space(
+            np.array([[getattr(comps, name) for name in FilterComponents._NAMES]]),
+            self.polarity,
         )
-        b = np.array([g1 / comps.c1, 0.0])
-        # MFB output inverts; fold the board polarity into C.
-        c = np.array([0.0, -float(self.polarity)])
-        return StateSpaceDUT(a, b, c, 0.0, name=self.name)
+        return StateSpaceDUT(a[0], b[0], c[0], 0.0, name=self.name)
 
     # ------------------------------------------------------------------
     # Derived design figures

@@ -19,8 +19,14 @@ population slot: :func:`zoh_transfer` (discretization plus z-domain
 coefficients) and :func:`frequency_responses`.
 :class:`StateSpaceDUT` calls the same functions with one row, so the
 per-device reference path and the population backend run identical
-floating-point operations by construction.  The coefficients restate
-:func:`scipy.signal.ss2tf` (``den = poly(Ad)``,
+floating-point operations by construction; so does the settling time
+(:func:`settle_seconds`, from stacked poles).  A measured slot takes
+its devices as one :class:`Population` — the stacks by state order,
+each row's settling time and routing — built once per chunk
+(:func:`stack_population` from a DUT list, or straight from component
+arrays by :func:`repro.dut.active_rc.lot_population`).
+
+The coefficients restate :func:`scipy.signal.ss2tf` (``den = poly(Ad)``,
 ``num = poly(Ad - Bd C) + (D - 1) den``) bit for bit: the matrix
 exponential and the eigenvalues come from the same SciPy/LAPACK routines
 applied slice by slice, and the characteristic-polynomial coefficients
@@ -31,6 +37,7 @@ than by a complex multiply, whose fused kernels round differently.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -77,6 +84,62 @@ def stack_by_order(models) -> list[tuple[list[int], StateSpaceStack]]:
             )
         )
     return stacks
+
+
+def settle_seconds(poles, tolerance: float) -> np.ndarray:
+    """Stacked settling times: seconds for each row's slowest mode of
+    ``poles`` ``(N, n)`` to decay to ``tolerance``.
+
+    The analyzer discards this much lead-in before integrating
+    signatures, mirroring the lab practice of waiting for the DUT to
+    reach steady state.
+    """
+    if not 0 < tolerance < 1:
+        raise ConfigError(f"tolerance must be in (0, 1), got {tolerance!r}")
+    slowest = np.min(-np.asarray(poles).real, axis=1)
+    return np.log(1.0 / tolerance) / slowest
+
+
+@dataclass(frozen=True)
+class Population:
+    """A chunk of devices in the stacked form a measured slot consumes.
+
+    ``stacks`` holds ``(rows, stack)`` pairs, ``rows`` naming each
+    stacked model's row; ``settle`` is each row's settling time (seconds) at
+    the analyzer's tolerance and ``continuous`` its
+    :attr:`~repro.dut.base.DUT.responds_continuous` flag.  Rows without
+    a state-space model keep their device in ``others``.
+    """
+
+    stacks: list[tuple[np.ndarray, StateSpaceStack]]
+    settle: np.ndarray
+    continuous: np.ndarray
+    others: dict[int, DUT]
+
+    def __len__(self) -> int:
+        return len(self.settle)
+
+
+def stack_population(duts, tolerance: float) -> Population:
+    """A DUT list as one :class:`Population` (settle times at ``tolerance``).
+
+    Each device's own ``settling_time`` gives its row's settle seconds
+    (0 for objects without one).
+    """
+    duts = list(duts)
+    models = [dut.state_space() for dut in duts]
+    settle = []
+    for dut in duts:
+        settling_time = getattr(dut, "settling_time", None)
+        settle.append(0.0 if settling_time is None else settling_time(tolerance))
+    return Population(
+        stacks=[(np.asarray(rows), stack) for rows, stack in stack_by_order(models)],
+        settle=np.array(settle, dtype=float),
+        continuous=np.array([dut.responds_continuous for dut in duts], dtype=bool),
+        others={
+            i: dut for i, (dut, model) in enumerate(zip(duts, models)) if model is None
+        },
+    )
 
 
 def zoh_discretize(a, b, dt) -> tuple[np.ndarray, np.ndarray]:
@@ -328,13 +391,6 @@ class StateSpaceDUT(DUT):
         return float(self.frequency_response([0.0])[0].real)
 
     def settling_time(self, tolerance: float = 1e-6) -> float:
-        """Time for the slowest mode to decay to ``tolerance`` (seconds).
-
-        The analyzer discards this much lead-in before integrating
-        signatures, mirroring the lab practice of waiting for the DUT to
-        reach steady state.
-        """
-        if not 0 < tolerance < 1:
-            raise ConfigError(f"tolerance must be in (0, 1), got {tolerance!r}")
-        slowest = np.min(-self.poles.real)
-        return float(np.log(1.0 / tolerance) / slowest)
+        """Time for the slowest mode to decay to ``tolerance`` (seconds);
+        :func:`settle_seconds` with one row."""
+        return float(settle_seconds(self.poles[None], tolerance)[0])

@@ -188,6 +188,7 @@ class DeviceTrialJob:
 def execute_device_trial(job: DeviceTrialJob):
     """Run one device through the BIST program (worker-process entry)."""
     from ..bist.montecarlo import DeviceTrial, _truly_good
+    from ..dut.statespace import stack_population
 
     config = config_for_job(job.config, "trial", job.index)
     device = ActiveRCLowpass(job.components, name=f"device #{job.index}")
@@ -198,5 +199,9 @@ def execute_device_trial(job: DeviceTrialJob):
     return DeviceTrial(
         device_index=job.index,
         verdict=report.verdict,
-        truly_good=_truly_good([device], job.mask, job.program.frequencies)[0],
+        truly_good=_truly_good(
+            stack_population([device], config.dut_settle_tolerance),
+            job.mask,
+            job.program.frequencies,
+        )[0],
     )

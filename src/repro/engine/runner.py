@@ -30,6 +30,7 @@ equivalent to the reference per-job path.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -43,7 +44,7 @@ from ..core.bode import BodeResult
 from ..core.calibration import CalibrationResult
 from ..core.config import AnalyzerConfig
 from ..core.measurement import GainPhaseMeasurement
-from ..dut.active_rc import ActiveRCLowpass, FilterComponents
+from ..dut.active_rc import FilterComponents, lot_population
 from ..dut.base import DUT
 from ..errors import ConfigError
 from ..obs.metrics import MetricRegistry
@@ -772,7 +773,9 @@ class BatchRunner:
         Component values are drawn serially from one seeded RNG in
         device order (so the lot is a function of ``seed`` alone —
         identical across backends and across chunk boundaries), then
-        each device trial is dispatched as an independent job.  When
+        each device trial is dispatched as an independent job; the
+        vectorized backend draws each chunk as one component array and
+        measures it in stacked form, with no per-device DUT objects.  When
         ``chunk_size`` is set the lot streams through the engine one
         chunk of devices at a time, so a million-device lot never holds
         more than one chunk's devices and responses in memory.  The
@@ -781,9 +784,9 @@ class BatchRunner:
         """
         if n_devices < 1:
             raise ConfigError(f"n_devices must be >= 1, got {n_devices}")
-        if component_sigma < 0:
+        if not (math.isfinite(component_sigma) and component_sigma >= 0):
             raise ConfigError(
-                f"component_sigma must be >= 0, got {component_sigma!r}"
+                f"component_sigma must be finite and >= 0, got {component_sigma!r}"
             )
         hits0, misses0 = self.cache.hits, self.cache.misses
         used, fallback = self._plan_backend()
@@ -806,17 +809,15 @@ class BatchRunner:
                 for k, (start, stop) in enumerate(
                     self._chunk_bounds(n_devices)
                 ):
-                    devices = [
-                        ActiveRCLowpass(
-                            nominal.with_tolerance(component_sigma, rng),
-                            name=f"device #{i}",
-                        )
-                        for i in range(start, stop)
-                    ]
+                    population = lot_population(
+                        nominal.draw_lot(component_sigma, rng, stop - start),
+                        config.dut_settle_tolerance,
+                        start=start,
+                    )
                     with self._chunk_span(k, start, stop):
                         trials.extend(
                             run_trials_vectorized(
-                                devices,
+                                population,
                                 mask,
                                 program,
                                 config=config,

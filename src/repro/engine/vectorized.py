@@ -12,28 +12,39 @@ operations:
   clock — the same fact that makes the paper's one-off calibration
   valid), so a single render serves every device and every sweep
   frequency; each job's lead-in is a prefix of the same sequence.
-* **Stacked DUT kernel.**  Devices that expose a state-space model
-  (:meth:`~repro.dut.base.DUT.state_space`) get their exact-ZOH z-domain
-  coefficients from one :func:`~repro.dut.statespace.zoh_transfer` call
-  per slot and their truly-good verdicts from one stacked solve per
-  probe frequency — the arithmetic the reference backend runs per
-  device, one row at a time.  Each device then keeps its own
-  ``lfilter`` over the shared stimulus prefix (minus the final-state
-  recovery the population path never observes); other devices go
-  through :meth:`~repro.dut.base.DUT.batch_response`.
+* **Stacked DUT kernel.**  A slot takes its devices as one
+  :class:`~repro.dut.statespace.Population`, built once per chunk:
+  state-space models stacked by order, each row's settling time and
+  routing.  Sweeps and fault campaigns stack their DUT list
+  (:func:`~repro.dut.statespace.stack_population`); a yield lot goes
+  from its component draw straight to the stacked form
+  (:func:`~repro.dut.active_rc.lot_population`), with no per-device
+  DUT objects.  The exact-ZOH z-domain coefficients come from one
+  :func:`~repro.dut.statespace.zoh_transfer` call per stack and the
+  truly-good verdicts from one stacked solve per probe frequency — the
+  arithmetic the reference backend runs per device, one row at a
+  time.  Each device then keeps its own ``lfilter`` over the shared
+  stimulus prefix (minus the final-state recovery the population path
+  never observes); rows without a model go through
+  :meth:`~repro.dut.base.DUT.batch_response`.
 * **Population-batched modulators.**  The exact closed-form bitstream of
-  the ideal modulator runs as row-wise ``cumsum``/``floor`` over a
-  block of devices at a time, in slots of any size.  Non-ideal (noisy)
-  modulators run the reference recurrence as a time loop over
-  device-axis vectors in wide slots, and the reference per-device
-  modulator (a loop on Python floats) in small ones.
-* **Cache-sized blocks for ideal channels.**  An ideal-channel slot is
-  walked in blocks of ``_BLOCK_DEVICES`` devices: each block's response
-  rows are filled into one reused ``(block x mn)`` buffer, its power-up
-  states drawn and its counts taken while the rows are still in cache,
-  so no ``(devices x mn)`` matrix exists and the slot's peak footprint
-  follows the block, not the slot.  The device-axis modulator needs
-  every device at once, so a non-ideal slot is one block.
+  the ideal modulator reads two prefix sums per device, taken by
+  outer-axis ``np.add.reduce`` over a time-major block of devices, in
+  slots of any size.  Non-ideal (noisy) modulators run the reference
+  recurrence as a time loop over device-axis vectors in wide slots,
+  and the reference per-device modulator (a loop on Python floats) in
+  small ones.
+* **Cache-sized blocks, counted time-major.**  Every slot fills one
+  reused ``(block x mn)`` buffer, one device per row; each channel's
+  ``q *`` modulation writes its working copy transposed, ``(mn x
+  block)``, so a time step is a contiguous row for both the closed
+  form and the device-axis recurrence.  An ideal-channel slot is
+  walked in blocks of ``_BLOCK_DEVICES`` devices, each block's
+  power-up states drawn and counts taken while its rows are still in
+  cache, so no ``(devices x mn)`` matrix exists and the slot's peak
+  footprint follows the block, not the slot.  The device-axis
+  modulator needs every device at once, so a non-ideal slot is one
+  block.
 * **Array interval arithmetic.**  Signatures become bounded gain/phase
   through :class:`~repro.intervals.BoundedArray` — one set of array
   expressions for the whole population instead of per-device
@@ -85,7 +96,7 @@ from ..core import compensation
 from ..core.calibration import CalibrationResult
 from ..core.config import AnalyzerConfig
 from ..core.measurement import GainPhaseMeasurement, StimulusMeasurement
-from ..dut.statespace import stack_by_order, zoh_transfer
+from ..dut.statespace import Population, stack_population, zoh_transfer
 from ..errors import ConfigError
 from ..evaluator.counters import SignatureCounter
 from ..evaluator.dsp import SignatureDSP, correlation_gain, phase_offset
@@ -141,37 +152,68 @@ def _build_evaluator(config: AnalyzerConfig) -> SinewaveEvaluator:
     return build_evaluator(config, rng=None)
 
 
+def _modulated(q: np.ndarray, responses: np.ndarray) -> np.ndarray:
+    """``q * responses`` for device rows ``(devices x mn)``, written
+    time-major ``(mn x devices)``: the modulators' working copy."""
+    out = np.empty(responses.shape[::-1])
+    np.multiply(responses.T, q[:, None], out=out)
+    return out
+
+
+def _prefix_sums(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``half - 2`` and ``n - 2`` of ``np.cumsum(t, axis=0)``, bit for
+    bit, for a C-contiguous time-major block ``t`` ``(n x devices)``.
+
+    NumPy reduces the outer axis of a C-contiguous array one row at a
+    time, in order: the sequential order of ``cumsum``, which is what
+    fixes the floating-point values.  So two reductions give both sums
+    without writing the running sum: ``T[half - 2]`` over the first
+    ``half - 1`` rows, and ``T[n - 2]`` by adding that into row
+    ``half - 1`` and reducing on from there.  A single column would be
+    reduced pairwise instead, so it takes the running sum.  ``t`` is
+    consumed.
+    """
+    n = t.shape[0]
+    half = n // 2
+    if t.shape[1] == 1:
+        np.cumsum(t, axis=0, out=t)
+        return t[half - 2], t[n - 2]
+    first = np.add.reduce(t[: half - 1], axis=0)
+    t[half - 1] += first
+    return first, np.add.reduce(t[half - 1 : n - 1], axis=0)
+
+
 def _closed_form_counts(
     channel: FirstOrderSigmaDelta, w: np.ndarray, u0: np.ndarray, chopped: bool
 ) -> np.ndarray:
-    """Row-batched exact closed-form signatures of the ideal modulator.
+    """Device-batched exact closed-form signatures of the ideal modulator.
 
     The population form of ``FirstOrderSigmaDelta._modulate_ideal_vectorized``
     composed with the signature counter, with the counting *telescoped*:
     the running-floor solution makes the cumulative ones count through
     sample ``k`` exactly ``floor(y0 + T_k) + 1``, so each half-window
     count — and hence the chopped signature — needs only the floor of
-    two specific prefix sums.  The prefix sums come from the same
-    sequential ``cumsum`` the per-device fast path performs (summation
-    order is what fixes the floating-point values), so the resulting
-    integer signatures are bit-identical to the reference path's; the
-    whole bitstream is never materialized.
+    two specific prefix sums.  The prefix sums are the values of the
+    sequential ``cumsum`` the per-device fast path performs
+    (:func:`_prefix_sums`), so the resulting integer signatures are
+    bit-identical to the reference path's; the whole bitstream is never
+    materialized.
 
-    ``w`` is consumed in place (the caller passes a private copy).
+    ``w`` is time-major ``(mn x devices)`` and consumed in place (the
+    caller passes a private copy).
     """
     half_span = 2.0 * channel.gain * channel.vref
     y0 = u0 / half_span
-    t = w
+    t = np.ascontiguousarray(w)
     t /= channel.vref
     t += 1.0
     t *= 0.5
-    np.cumsum(t, axis=1, out=t)  # t[:, j] = T_{j+1} = t_0 + ... + t_j
-    n = t.shape[1]
-    half = n // 2
+    n = t.shape[0]
     # Cumulative ones through sample k: floor(y0 + T_k) + 1, where T_k
     # excludes sample k itself (the decision precedes the integration).
-    ones_first = np.floor(y0 + t[:, half - 2]) + 1.0
-    ones_total = np.floor(y0 + t[:, n - 2]) + 1.0
+    first, total = _prefix_sums(t)
+    ones_first = np.floor(y0 + first) + 1.0
+    ones_total = np.floor(y0 + total) + 1.0
     if chopped:
         ones_second = ones_total - ones_first
         return (2.0 * (ones_first - ones_second)).astype(np.int64)
@@ -192,7 +234,9 @@ def _nonideal_bits(
     is formed once for the whole window, the feedback is exactly
     ``+/-vref``, and the state clips only when ``v_sat`` is finite — so
     the bitstreams are bit-identical.  The win is amortizing the Python
-    loop over the whole population.  ``w`` is consumed in place.
+    loop over the whole population.  ``w`` and ``noise`` are time-major
+    ``(mn x devices)``, as are the returned bits; ``w`` is consumed in
+    place.
     """
     amp = channel.opamp
     g = channel.gain
@@ -204,7 +248,7 @@ def _nonideal_bits(
     clip = not math.isinf(u_sat)
     w += amp.offset
     w += noise
-    drive = np.ascontiguousarray(w.T)
+    drive = w
     decisions = np.empty(drive.shape, dtype=bool)
     u = np.array(u0, dtype=float)
     feedback = np.empty_like(u)
@@ -226,7 +270,7 @@ def _nonideal_bits(
         if clip:
             np.minimum(u, u_sat, out=u)
             np.maximum(u, -u_sat, out=u)
-    return np.where(decisions.T, 1, -1).astype(np.int8)
+    return np.where(decisions, 1, -1).astype(np.int8)
 
 
 #: Below this population size the time-stepped device-axis modulator loop
@@ -245,13 +289,15 @@ _BATCH_MIN_DEVICES = 32
 
 #: Devices per block of an ideal-channel slot (see
 #: ``PopulationMeasurer._counts``): the block's response rows and the
-#: closed form's per-channel working copy stay cache-resident instead of
-#: streaming a ``(devices x mn)`` matrix through memory.  Measured on
-#: ``PopulationMeasurer.measure`` for one 5000-device ideal slot
-#: (yield_lot shape: m = 20, so mn = 1920; 2-vCPU Xeon with 2 MiB L2 per
-#: core, CPython 3.11.7, NumPy 2.4.6), median of 9, block: slot ms /
-#: counts ms — 8: 405/171, 16: 395/157, 32: 375/143, 64: 368/141,
-#: 128: 374/147, 256: 374/147, 1024: 397/174, whole slot: 528/287.
+#: closed form's per-channel time-major working copy stay cache-resident
+#: instead of streaming a ``(devices x mn)`` matrix through memory.
+#: Measured on ``PopulationMeasurer.measure`` for one 5000-device ideal
+#: slot (yield_lot shape: m = 20, so mn = 1920; 2-vCPU Xeon with 2 MiB L2
+#: per core, CPython 3.11.7, NumPy 2.4.6), median of 9 with the sizes
+#: interleaved, block: slot ms / counts ms — 8: 447/199, 16: 418/163,
+#: 32: 380/122, 48: 354/113, 64: 352/110, 96: 391/131, 128: 380/133,
+#: 256: 379/139, 1024: 412/170, whole slot: 555/285.  48 and 64 tie
+#: across repeated sweeps, so the optimum has not moved.
 #: EXPERIMENTS.md has the context.
 _BLOCK_DEVICES = 64
 
@@ -270,27 +316,29 @@ class SlotArrays(NamedTuple):
 
 
 def _count_signatures(bits: np.ndarray, chopped: bool) -> np.ndarray:
-    """Row-batched signature counting (the counter's +/-1 convention)."""
-    n = bits.shape[1]
+    """Device-batched signature counting of time-major ``(mn x devices)``
+    bits (the counter's +/-1 convention)."""
+    n = bits.shape[0]
     if chopped:
         half = n // 2
-        first = bits[:, :half].sum(axis=1, dtype=np.int64)
-        second = bits[:, half:].sum(axis=1, dtype=np.int64)
+        first = bits[:half].sum(axis=0, dtype=np.int64)
+        second = bits[half:].sum(axis=0, dtype=np.int64)
         return first - second
-    return bits.sum(axis=1, dtype=np.int64)
+    return bits.sum(axis=0, dtype=np.int64)
 
 
 class PopulationMeasurer:
     """Batched gain/phase measurement of a device population.
 
     One measurer is bound to ``(config, m_periods, calibration)`` — the
-    invariants of a campaign — and measures *slots*: lists of
-    ``(dut, fwave, rng)`` entries evaluated together as array batches.
-    A fault campaign calls one slot per probe frequency (the population
-    axis is devices); a sweep calls a single slot whose population axis
-    is the sweep points themselves.
+    invariants of a campaign — and measures *slots*: a stacked
+    :class:`~repro.dut.statespace.Population` with one tone frequency
+    and one noise stream per row, evaluated together as array batches.
+    A fault campaign or yield lot calls one slot per probe frequency
+    (the population axis is devices); a sweep calls a single slot whose
+    population axis is the sweep points themselves.
 
-    The per-entry ``rng`` is the job's private noise stream (or None);
+    The per-row ``rng`` is the job's private noise stream (or None);
     streams are consumed across consecutive slots in exactly the order
     the reference per-job path consumes them, which is what makes the
     batched results match the reference backend.
@@ -329,7 +377,6 @@ class PopulationMeasurer:
         ) and _channel_is_ideal(self.evaluator.channel2, self._has_rng)
         self._generator: SinewaveGenerator | None = None
         self._stimulus = np.empty(0)
-        self._settle_cache: dict[int, tuple[object, float]] = {}
 
     # ------------------------------------------------------------------
     # Shared stimulus
@@ -382,44 +429,18 @@ class PopulationMeasurer:
             self._stimulus = held.samples
         return self._stimulus[:needed]
 
-    def _settle_seconds(self, dut) -> float:
-        settle = getattr(dut, "settling_time", None)
-        if settle is None:
-            return 0.0
-        cached = self._settle_cache.get(id(dut))
-        if cached is None or cached[0] is not dut:
-            seconds = settle(self.config.dut_settle_tolerance)
-            self._settle_cache[id(dut)] = (dut, seconds)
-        else:
-            seconds = cached[1]
-        return seconds
-
-    def _lead_periods(self, dut, fwave: float) -> int:
-        """The DUT settling lead-in, in whole tone periods (as the analyzer)."""
-        return int(math.ceil(self._settle_seconds(dut) * fwave))
-
-    def reserve(self, duts, fwaves) -> None:
+    def reserve(self, population: Population, fwaves) -> None:
         """Pre-render the stimulus for a whole campaign's worst lead-in.
 
         A multi-slot campaign (one slot per probe frequency) otherwise
         re-renders whenever a later slot needs a longer lead; rendering
         the worst case once up front makes every slot a prefix hit.
-
-        ``reserve`` also marks a chunk boundary: the measurer outlives
-        chunks (one measurer per batch), so settle-seconds memos for
-        earlier chunks' devices are dead weight — and their strong
-        references would grow the footprint with the lot instead of the
-        chunk.  Each reservation starts the memo fresh.
         """
-        self._settle_cache.clear()
         fwaves = [float(f) for f in fwaves]
         if not fwaves or self._noisy_generator:
-            # A noisy generator renders per device (no shared prefix to
-            # warm); the settle-seconds cache still fills lazily.
+            # A noisy generator renders per device: no shared prefix.
             return
-        worst_seconds = max(
-            (self._settle_seconds(dut) for dut in duts), default=0.0
-        )
+        worst_seconds = float(population.settle.max()) if len(population) else 0.0
         self._stimulus_samples(
             int(math.ceil(worst_seconds * max(fwaves))) + self.m_periods
         )
@@ -427,30 +448,37 @@ class PopulationMeasurer:
     # ------------------------------------------------------------------
     # One batched slot
     # ------------------------------------------------------------------
-    def measure(self, entries) -> SlotArrays:
-        """Measure one slot of ``(dut, fwave, rng)`` entries, batched.
+    def measure(self, population: Population, fwaves, rngs) -> SlotArrays:
+        """Measure one slot, batched: row ``i`` of ``population`` at tone
+        ``fwaves[i]`` on the job noise stream ``rngs[i]`` (or None).
 
         The result stays in array form: sweeps and fault campaigns box
         it per device (:meth:`box`); a yield lot reads only the gain
         bounds, so it takes the arrays as they are.
         """
-        entries = list(entries)
-        if not entries:
+        fwaves = [float(f) for f in fwaves]
+        rngs = list(rngs)
+        if not len(population):
             raise ConfigError("population slot is empty")
-        rngs = [rng for _, _, rng in entries if rng is not None]
-        if len({id(rng) for rng in rngs}) != len(rngs):
-            # Each block draws its entries' streams (render, power-up
+        if not len(fwaves) == len(rngs) == len(population):
+            raise ConfigError(
+                f"population slot of {len(population)} rows got "
+                f"{len(fwaves)} tones and {len(rngs)} noise streams"
+            )
+        streams = [rng for rng in rngs if rng is not None]
+        if len({id(rng) for rng in streams}) != len(streams):
+            # Each block draws its rows' streams (render, power-up
             # state, channel noise) before the next block's: that is
             # each job's reference order only if no stream is shared.
             raise ConfigError("population slot entries must not share a noise stream")
-        i1, i2, overload = self._counts(entries)
+        i1, i2, overload = self._counts(population, fwaves, rngs)
         amplitude, phase = self._intervals(i1, i2)
         if self.config.image_compensation:
             amplitude, phase = self._compensate(
-                amplitude, phase, [e[0] for e in entries]
+                amplitude, phase, population.continuous
             )
         return SlotArrays(
-            fwaves=[fwave for _, fwave, _ in entries],
+            fwaves=fwaves,
             i1=i1,
             i2=i2,
             overload=overload,
@@ -498,7 +526,9 @@ class PopulationMeasurer:
             )
         return results
 
-    def _counts(self, entries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _counts(
+        self, population: Population, fwaves: list[float], rngs: list
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The slot's signature and overload counts, one device block at a
         time.
 
@@ -508,8 +538,8 @@ class PopulationMeasurer:
         device-axis modulator of non-ideal channels needs every device
         at once, so there the whole slot is one block.
         """
-        n_devices = len(entries)
-        fill = self._row_filler(entries)
+        n_devices = len(population)
+        fill = self._row_filler(population, fwaves, rngs)
         block = _BLOCK_DEVICES if self._ideal_channels else n_devices
         buffer = np.empty((min(block, n_devices), self.mn))
         i1 = np.empty(n_devices, dtype=np.int64)
@@ -521,34 +551,33 @@ class PopulationMeasurer:
             for i in range(start, stop):
                 fill(i, responses[i - start])
             i1[start:stop], i2[start:stop], overload[start:stop] = (
-                self._block_counts(entries[start:stop], responses)
+                self._block_counts(rngs[start:stop], responses)
             )
         return i1, i2, overload
 
     def _block_counts(
-        self, entries, responses: np.ndarray
+        self, rngs: list, responses: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One block's counts from its filled response rows."""
         # Per-job RNG consumption, reference order: the render (already
         # drawn by the fill), then power-up states, then channel-1 noise,
         # then channel-2 noise.
-        u0 = np.zeros((len(entries), 2))
+        u0 = np.zeros((len(rngs), 2))
         if self.config.random_modulator_state and self._has_rng:
             bound = 0.5 * self.evaluator.channel1.state_bound
-            for i, (_, _, rng) in enumerate(entries):
+            for i, rng in enumerate(rngs):
                 if rng is not None:
                     u0[i, 0] = float(rng.uniform(-bound, bound))
                     u0[i, 1] = float(rng.uniform(-bound, bound))
 
         channel1 = self.evaluator.channel1
         channel2 = self.evaluator.channel2
-        if not self._ideal_channels and len(entries) < _BATCH_MIN_DEVICES:
+        if not self._ideal_channels and len(rngs) < _BATCH_MIN_DEVICES:
             # Small non-ideal populations (a diagnosis-time signature, a
             # short sweep): the time-stepped device-axis loop would not
             # amortize its per-step NumPy calls — run the reference
             # modulator per device, wired to the job's RNG.
-            return self._per_device_counts(entries, responses, u0)
-        rngs = [rng for _, _, rng in entries]
+            return self._per_device_counts(rngs, responses, u0)
         noise1 = self._draw_noise(channel1, rngs)
         noise2 = self._draw_noise(channel2, rngs)
         # The modulation bits are +/-1, so |q * x| == |x| exactly:
@@ -565,30 +594,33 @@ class PopulationMeasurer:
         return i1, i2, 2 * overload_row
 
     # ------------------------------------------------------------------
-    def _row_filler(self, entries):
-        """``fill(i, out)``: write device ``i``'s measurement window of its
-        response into the row ``out``.
+    def _row_filler(self, population: Population, fwaves: list[float], rngs: list):
+        """``fill(i, out)``: write row ``i``'s measurement window of its
+        response into the buffer row ``out``.
 
-        State-space devices take their z-domain coefficients from one
-        stacked :func:`~repro.dut.statespace.zoh_transfer` call per state
-        order for the whole slot — the kernel ``StateSpaceDUT.process``
-        runs with one row — and keep their own ``lfilter``; other
-        devices go through ``batch_response``.  The held input is the
-        shared stimulus prefix, or for a noisy generator the device's
-        own render (:meth:`_noisy_held`).
+        State-space rows take their z-domain coefficients from one
+        stacked :func:`~repro.dut.statespace.zoh_transfer` call per
+        stack for the whole slot — the kernel ``StateSpaceDUT.process``
+        runs with one row — and keep their own ``lfilter``; other rows
+        go through their device's ``batch_response``.  Each row's lead-in
+        is its settling time in whole tone periods, as the analyzer
+        rounds it.  The held input is the shared stimulus prefix, or for
+        a noisy generator the device's own render (:meth:`_noisy_held`).
         """
         m = self.m_periods
         n = OVERSAMPLING_RATIO
         mn = self.mn
-        leads = [self._lead_periods(dut, fwave) for dut, fwave, _ in entries]
-        coefficients: list = [None] * len(entries)
-        for rows, stack in stack_by_order([dut.state_space() for dut, _, _ in entries]):
-            dt = np.array([1.0 / (entries[i][1] * n) for i in rows])
-            num, den = zoh_transfer(stack.a, stack.b, stack.c, stack.d, dt)
-            for k, i in enumerate(rows):
+        tones = np.array(fwaves)
+        leads = np.ceil(population.settle * tones).astype(int).tolist()
+        coefficients: list = [None] * len(population)
+        for rows, stack in population.stacks:
+            num, den = zoh_transfer(
+                stack.a, stack.b, stack.c, stack.d, 1.0 / (tones[rows] * n)
+            )
+            for k, i in enumerate(rows.tolist()):
                 coefficients[i] = (num[k], den[k])
         if self._noisy_generator:
-            held_input = self._noisy_held(entries, leads)
+            held_input = self._noisy_held(rngs, leads)
         else:
             stimulus = self._stimulus_samples(max(leads) + m)
 
@@ -596,10 +628,9 @@ class PopulationMeasurer:
                 return stimulus[: (leads[i] + m) * n]
 
         def fill(i: int, out: np.ndarray) -> None:
-            dut, fwave, _ = entries[i]
             held = held_input(i)
             if coefficients[i] is None:
-                output = dut.batch_response(held, fwave * n)
+                output = population.others[i].batch_response(held, fwaves[i] * n)
             else:
                 output = lfilter(*coefficients[i], held)
             start = leads[i] * n
@@ -607,7 +638,7 @@ class PopulationMeasurer:
 
         return fill
 
-    def _noisy_held(self, entries, leads):
+    def _noisy_held(self, rngs: list, leads: list[int]):
         """``held_input(i)``: device ``i``'s own noise-perturbed stimulus.
 
         A noisy generator gives every job its own stimulus: the biquad's
@@ -631,7 +662,7 @@ class PopulationMeasurer:
         head = settle_head * GENERATOR_STEPS
 
         def held_input(i: int) -> np.ndarray:
-            noise1, noise2 = biquad.draw_noise(entries[i][2], steps[i])
+            noise1, noise2 = biquad.draw_noise(rngs[i], steps[i])
             out, _, _ = biquad.render_row(charges[: steps[i]], noise1, noise2)
             return np.repeat(out[head:], hold)
 
@@ -640,7 +671,7 @@ class PopulationMeasurer:
     # ------------------------------------------------------------------
     def _per_device_counts(
         self,
-        entries,
+        rngs: list,
         responses: np.ndarray,
         u0: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -653,11 +684,11 @@ class PopulationMeasurer:
         channel1 = self.evaluator.channel1
         channel2 = self.evaluator.channel2
         chopped = self.config.chopped
-        n = len(entries)
+        n = len(rngs)
         i1 = np.empty(n, dtype=np.int64)
         i2 = np.empty(n, dtype=np.int64)
         overload = np.empty(n, dtype=np.int64)
-        for i, (_, _, rng) in enumerate(entries):
+        for i, rng in enumerate(rngs):
             modulator1 = FirstOrderSigmaDelta(
                 gain=channel1.gain,
                 vref=channel1.vref,
@@ -672,10 +703,11 @@ class PopulationMeasurer:
                 comparator_offset=channel2.comparator_offset,
                 rng=rng,
             )
-            result1 = modulator1.modulate(responses[i], self._q1, u0=float(u0[i, 0]))
-            result2 = modulator2.modulate(responses[i], self._q2, u0=float(u0[i, 1]))
-            i1[i] = _count_signatures(result1.bits[None, :], chopped)[0]
-            i2[i] = _count_signatures(result2.bits[None, :], chopped)[0]
+            response = responses[i]
+            result1 = modulator1.modulate(response, self._q1, u0=float(u0[i, 0]))
+            result2 = modulator2.modulate(response, self._q2, u0=float(u0[i, 1]))
+            i1[i] = _count_signatures(result1.bits[:, None], chopped)[0]
+            i2[i] = _count_signatures(result2.bits[:, None], chopped)[0]
             overload[i] = result1.overload_count + result2.overload_count
         return i1, i2, overload
 
@@ -686,15 +718,16 @@ class PopulationMeasurer:
 
         The reference draws channel 1's window, then channel 2's, from
         the job's stream — but only on the non-ideal branch; the caller
-        invokes this for channel 1 first.
+        invokes this for channel 1 first.  Time-major, one device per
+        column.
         """
         rms = channel.opamp.noise_rms
         if _channel_is_ideal(channel, self._has_rng) or not self._has_rng or rms == 0.0:
             return None
-        noise = np.zeros((len(rngs), self.mn))
+        noise = np.zeros((self.mn, len(rngs)))
         for i, rng in enumerate(rngs):
             if rng is not None:
-                noise[i] = rng.normal(0.0, rms, size=self.mn)
+                noise[:, i] = rng.normal(0.0, rms, size=self.mn)
         return noise
 
     def _channel_counts(
@@ -706,13 +739,16 @@ class PopulationMeasurer:
         overload: np.ndarray,
         noise: np.ndarray | None,
     ) -> np.ndarray:
-        """One channel's signature counts for the whole population."""
+        """One channel's signature counts for a block of response rows."""
         chopped = self.config.chopped
         if not _channel_is_ideal(channel, self._has_rng):
             # A noiseless channel still adds 0.0, as the reference does.
             return _count_signatures(
                 _nonideal_bits(
-                    channel, q * responses, u0, 0.0 if noise is None else noise
+                    channel,
+                    _modulated(q, responses),
+                    u0,
+                    0.0 if noise is None else noise,
                 ),
                 chopped,
             )
@@ -722,20 +758,20 @@ class PopulationMeasurer:
             & (u0 >= -half_span)
             & (u0 <= half_span * (1.0 - 1e-12))
         )
-        counts = np.empty(len(responses), dtype=np.int64)
+        counts = np.empty(len(u0), dtype=np.int64)
         if fast.all():
-            return _closed_form_counts(channel, q * responses, u0, chopped)
+            return _closed_form_counts(channel, _modulated(q, responses), u0, chopped)
         idx = np.flatnonzero(fast)
         if len(idx):
             counts[idx] = _closed_form_counts(
-                channel, q * responses[idx], u0[idx], chopped
+                channel, _modulated(q, responses[idx]), u0[idx], chopped
             )
         for i in np.flatnonzero(~fast):
             # Rare overload / out-of-range power-up state: run the
             # reference scalar path for just that device (no RNG is
             # consumed on the ideal branches).
             result = channel.modulate(responses[i], q, u0=float(u0[i]))
-            counts[i] = _count_signatures(result.bits[None, :], chopped)[0]
+            counts[i] = _count_signatures(result.bits[:, None], chopped)[0]
         return counts
 
     # ------------------------------------------------------------------
@@ -755,13 +791,12 @@ class PopulationMeasurer:
         return amplitude, phase
 
     def _compensate(
-        self, amplitude: BoundedArray, phase: BoundedArray, duts
+        self, amplitude: BoundedArray, phase: BoundedArray, continuous: np.ndarray
     ) -> tuple[BoundedArray, BoundedArray]:
         """Array form of the analyzer's systematic compensation (k = 1)."""
         config = self.config
         n = OVERSAMPLING_RATIO
         budget = compensation.leakage_budget(1, n)
-        continuous = np.array([dut.responds_continuous for dut in duts])
         droop = compensation.zoh_fundamental_droop(n)
         bypass = compensation.bypass_response(1, PAPER_CAPACITORS)
         amp_factor = np.where(continuous, 1.0 / droop, 1.0 / abs(bypass))
@@ -806,11 +841,14 @@ def run_sweep_vectorized(
     """
     if measurer is None:
         measurer = PopulationMeasurer(config, m_periods, calibration)
-    entries = [
-        (dut, float(f), _job_rng(config, "sweep", start_index + i))
-        for i, f in enumerate(frequencies)
+    frequencies = list(frequencies)
+    population = stack_population(
+        [dut] * len(frequencies), config.dut_settle_tolerance
+    )
+    rngs = [
+        _job_rng(config, "sweep", start_index + i) for i in range(len(frequencies))
     ]
-    return measurer.box(measurer.measure(entries))
+    return measurer.box(measurer.measure(population, frequencies, rngs))
 
 
 def run_fault_trials_vectorized(
@@ -833,26 +871,19 @@ def run_fault_trials_vectorized(
     """
     if measurer is None:
         measurer = PopulationMeasurer(config, m_periods, calibration)
-    duts = list(duts)
-    measurer.reserve(duts, frequencies)
-    rngs = [
-        _job_rng(config, stream, start_index + i) for i in range(len(duts))
-    ]
+    population = stack_population(duts, config.dut_settle_tolerance)
+    n = len(population)
+    measurer.reserve(population, frequencies)
+    rngs = [_job_rng(config, stream, start_index + i) for i in range(n)]
     per_frequency = [
-        measurer.box(
-            measurer.measure(
-                [(dut, float(f), rng) for dut, rng in zip(duts, rngs)]
-            )
-        )
+        measurer.box(measurer.measure(population, [f] * n, rngs))
         for f in frequencies
     ]
-    return [
-        tuple(slot[i] for slot in per_frequency) for i in range(len(duts))
-    ]
+    return [tuple(slot[i] for slot in per_frequency) for i in range(n)]
 
 
 def run_trials_vectorized(
-    devices,
+    population: Population,
     mask,
     program,
     config: AnalyzerConfig,
@@ -862,30 +893,27 @@ def run_trials_vectorized(
 ) -> list:
     """A Monte-Carlo lot batched per program frequency.
 
-    ``devices`` are the lot's pre-built DUTs — the dispatcher draws
-    their component values exactly as the reference path draws them
-    (one seeded RNG, device order), which keeps the population
-    identical across backends *and* across chunk boundaries; the
-    measurements then run as one slot per program frequency, and the
-    go/no-go verdicts come from the slots' gain arrays through the same
-    tri-state interval rule (:func:`repro.bist.program.lot_verdicts`).
-    ``start_index`` is the lot index of ``devices[0]``.
+    ``population`` is one chunk of the lot in stacked form — the
+    dispatcher draws its component values exactly as the reference path
+    draws them (one seeded RNG, device order), which keeps the
+    population identical across backends *and* across chunk boundaries
+    (:func:`repro.dut.active_rc.lot_population`); the measurements then
+    run as one slot per program frequency, and the go/no-go verdicts
+    come from the slots' gain arrays through the same tri-state
+    interval rule (:func:`repro.bist.program.lot_verdicts`).
+    ``start_index`` is the lot index of row 0.
     """
     from ..bist.montecarlo import DeviceTrial, _truly_good
     from ..bist.program import lot_verdicts
 
-    devices = list(devices)
-    job_rngs = [
-        _job_rng(config, "trial", start_index + i) for i in range(len(devices))
-    ]
+    n = len(population)
+    job_rngs = [_job_rng(config, "trial", start_index + i) for i in range(n)]
     if measurer is None:
         measurer = PopulationMeasurer(config, program.m_periods, calibration)
-    measurer.reserve(devices, program.frequencies)
-    truly_good = _truly_good(devices, mask, program.frequencies)
+    measurer.reserve(population, program.frequencies)
+    truly_good = _truly_good(population, mask, program.frequencies)
     gains = [
-        measurer.measure(
-            [(device, f, job_rng) for device, job_rng in zip(devices, job_rngs)]
-        ).gain
+        measurer.measure(population, [f] * n, job_rngs).gain
         for f in program.frequencies
     ]
     verdicts = lot_verdicts(

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -177,14 +178,16 @@ class YieldStep:
             raise ConfigError(
                 f"step {self.name!r}: n_devices must be >= 1, got {self.n_devices}"
             )
-        if self.component_sigma < 0:
+        # NaN fails every comparison, so each range check asks for a
+        # finite value first (JSON decoding accepts NaN and Infinity).
+        if not (math.isfinite(self.component_sigma) and self.component_sigma >= 0):
             raise ConfigError(
-                f"step {self.name!r}: component_sigma must be >= 0, "
+                f"step {self.name!r}: component_sigma must be finite and >= 0, "
                 f"got {self.component_sigma!r}"
             )
-        if not self.tolerance_db > 0:
+        if not (math.isfinite(self.tolerance_db) and self.tolerance_db > 0):
             raise ConfigError(
-                f"step {self.name!r}: tolerance_db must be positive, "
+                f"step {self.name!r}: tolerance_db must be finite and positive, "
                 f"got {self.tolerance_db!r}"
             )
         object.__setattr__(
@@ -194,9 +197,9 @@ class YieldStep:
             raise ConfigError(
                 f"step {self.name!r}: frequency_ratios must not be empty"
             )
-        if any(r <= 0 for r in self.frequency_ratios):
+        if not all(math.isfinite(r) and r > 0 for r in self.frequency_ratios):
             raise ConfigError(
-                f"step {self.name!r}: frequency_ratios must be positive, "
+                f"step {self.name!r}: frequency_ratios must be finite and positive, "
                 f"got {self.frequency_ratios}"
             )
         _require_even_window(f"step {self.name!r}", "m_periods", self.m_periods)

@@ -29,6 +29,7 @@ from repro.dut.statespace import (
     StateSpaceDUT,
     frequency_responses,
     stack_by_order,
+    stack_population,
     zoh_transfer,
 )
 from repro.signals.waveform import Waveform
@@ -223,10 +224,13 @@ class TestStackedTrulyGood:
     def test_matches_gain_db_at(self, seed, n, tolerance_db):
         mask = SpecMask.from_golden(GOLDEN, LOT_PROBES, tolerance_db=tolerance_db)
         duts = tolerance_lot(seed, n, sigma=0.06) + FAULTY[: seed % 7]
-        verdicts = _truly_good(duts, mask, LOT_PROBES)
+        verdicts = _truly_good(stack_population(duts, 1e-6), mask, LOT_PROBES)
         expected = [self.per_device(dut, mask, LOT_PROBES) for dut in duts]
         assert verdicts == expected
-        assert [_truly_good([dut], mask, LOT_PROBES)[0] for dut in duts] == expected
+        assert [
+            _truly_good(stack_population([dut], 1e-6), mask, LOT_PROBES)[0]
+            for dut in duts
+        ] == expected
 
     def test_stacked_response_matches_per_device_bits(self):
         duts = tolerance_lot(9, 50) + FAULTY + BIQUADS

@@ -18,6 +18,7 @@ from repro.core.analyzer import NetworkAnalyzer
 from repro.core.config import AnalyzerConfig
 from repro.dut.active_rc import ActiveRCLowpass, design_mfb_lowpass
 from repro.dut.faults import fault_catalog, full_catalog
+from repro.dut.statespace import stack_population
 from repro.engine import BatchRunner, PopulationMeasurer
 from repro.errors import ConfigError
 from repro.faults.campaign import FaultCampaign
@@ -335,4 +336,8 @@ class TestSeam:
         measurer = PopulationMeasurer(NOISY, M, calibration)
         rng = np.random.default_rng(0)
         with pytest.raises(ConfigError, match="share a noise stream"):
-            measurer.measure([(GOLDEN, 1000.0, rng), (GOLDEN, 500.0, rng)])
+            measurer.measure(
+                stack_population([GOLDEN, GOLDEN], NOISY.dut_settle_tolerance),
+                [1000.0, 500.0],
+                [rng, rng],
+            )

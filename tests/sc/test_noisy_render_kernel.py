@@ -342,11 +342,14 @@ class TestModulators:
         u0 = rng.uniform(-0.2, 0.2, n_devices)
         noise = rng.normal(0.0, amp.noise_rms or 1e-4, (n_devices, n))
         want = old_nonideal_bits(channel, w, u0, noise)
-        got = vectorized._nonideal_bits(channel, w.copy(), u0, noise)
-        assert got.tobytes() == want.tobytes()
+        # The kernel is time-major: one device per column.
+        got = vectorized._nonideal_bits(
+            channel, np.ascontiguousarray(w.T), u0, np.ascontiguousarray(noise.T)
+        )
+        assert np.ascontiguousarray(got.T).tobytes() == want.tobytes()
         for i in range(n_devices):
             bits, _, _ = old_modulate(channel, w[i], u0[i], noise[i])
-            assert got[i].tobytes() == bits.tobytes()
+            assert got[:, i].tobytes() == bits.tobytes()
 
     def test_device_axis_noiseless_adds_zero(self):
         """``noise=0.0`` is the old loop fed a zero noise matrix."""
@@ -355,8 +358,8 @@ class TestModulators:
         w = np.stack([q * x, -q * x, np.zeros_like(x)])
         u0 = np.array([0.0, -0.0, 0.1])
         want = old_nonideal_bits(channel, w, u0, np.zeros_like(w))
-        got = vectorized._nonideal_bits(channel, w.copy(), u0, 0.0)
-        assert got.tobytes() == want.tobytes()
+        got = vectorized._nonideal_bits(channel, np.ascontiguousarray(w.T), u0, 0.0)
+        assert np.ascontiguousarray(got.T).tobytes() == want.tobytes()
 
 
 class TestSlotStrategies:
