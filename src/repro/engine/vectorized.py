@@ -30,20 +30,26 @@ operations:
 * **Population-batched modulators.**  The exact closed-form bitstream of
   the ideal modulator reads two prefix sums per device, taken by
   outer-axis ``np.add.reduce`` over a time-major block of devices, in
-  slots of any size.  Non-ideal (noisy) modulators run the reference
-  recurrence as a time loop over device-axis vectors in wide slots,
-  and the reference per-device modulator (a loop on Python floats) in
-  small ones.
+  slots of any size.  Noise-only modulators (infinite gain, complete
+  settling: every evaluator a scenario builds) guess their bitstreams
+  from the same running floor and verify every decision against the
+  exact sequential state
+  (:meth:`~repro.evaluator.sigma_delta.FirstOrderSigmaDelta.speculate_bits`),
+  also over time-major blocks in slots of any size.  Modulators with
+  finite gain or incomplete settling run the reference recurrence as a
+  time loop over device-axis vectors in wide slots, and the reference
+  per-device modulator (a loop on Python floats) in small ones.
 * **Cache-sized blocks, counted time-major.**  Every slot fills one
   reused ``(block x mn)`` buffer, one device per row; each channel's
   ``q *`` modulation writes its working copy transposed, ``(mn x
   block)``, so a time step is a contiguous row for both the closed
-  form and the device-axis recurrence.  An ideal-channel slot is
-  walked in blocks of ``_BLOCK_DEVICES`` devices, each block's
-  power-up states drawn and counts taken while its rows are still in
-  cache, so no ``(devices x mn)`` matrix exists and the slot's peak
-  footprint follows the block, not the slot.  The device-axis
-  modulator needs every device at once, so a non-ideal slot is one
+  form and the device-axis recurrence.  A slot of ideal or noise-only
+  channels is walked in blocks of ``_BLOCK_DEVICES`` devices, each
+  block's power-up states and channel noise drawn and counts taken
+  while its rows are still in cache, so no ``(devices x mn)`` matrix
+  exists and the slot's peak footprint follows the block, not the
+  slot.  The device-axis recurrence of finite-gain or incompletely
+  settling channels needs every device at once, so such a slot is one
   block.
 * **Array interval arithmetic.**  Signatures become bounded gain/phase
   through :class:`~repro.intervals.BoundedArray` — one set of array
@@ -221,22 +227,19 @@ def _closed_form_counts(
 
 
 def _nonideal_bits(
-    channel: FirstOrderSigmaDelta,
-    w: np.ndarray,
-    u0: np.ndarray,
-    noise: np.ndarray | float,
+    channel: FirstOrderSigmaDelta, drive: np.ndarray, u0: np.ndarray
 ) -> np.ndarray:
-    """Device-batched non-ideal modulator recurrence.
+    """Device-batched recurrence of finite-gain or incompletely settling
+    modulators.
 
     The reference per-sample loop, restated as a time loop over
     device-axis vectors: each step performs the same IEEE operations in
-    the same order as the scalar recurrence — ``(w + offset) + noise``
-    is formed once for the whole window, the feedback is exactly
-    ``+/-vref``, and the state clips only when ``v_sat`` is finite — so
-    the bitstreams are bit-identical.  The win is amortizing the Python
-    loop over the whole population.  ``w`` and ``noise`` are time-major
-    ``(mn x devices)``, as are the returned bits; ``w`` is consumed in
-    place.
+    the same order as the scalar recurrence — on the window's ``(w +
+    offset) + noise``, formed once by the caller, the feedback is
+    exactly ``+/-vref``, and the state clips only when ``v_sat`` is
+    finite — so the bitstreams are bit-identical.  The win is amortizing
+    the Python loop over the whole population.  ``drive`` is time-major
+    ``(mn x devices)``, as are the returned bits.
     """
     amp = channel.opamp
     g = channel.gain
@@ -246,9 +249,6 @@ def _nonideal_bits(
     settle = amp.settling_error
     u_sat = amp.v_sat
     clip = not math.isinf(u_sat)
-    w += amp.offset
-    w += noise
-    drive = w
     decisions = np.empty(drive.shape, dtype=bool)
     u = np.array(u0, dtype=float)
     feedback = np.empty_like(u)
@@ -276,21 +276,23 @@ def _nonideal_bits(
 #: Below this population size the time-stepped device-axis modulator loop
 #: loses to the reference per-device modulator (NumPy per-op overhead
 #: dominates small vectors); the measurer switches strategy on it when a
-#: channel is non-ideal.  Ideal channels take the population closed form
-#: at every size, which measured no slower than the per-device modulator
-#: from one device up (EXPERIMENTS.md).  The measured crossover of
-#: ``PopulationMeasurer.measure`` on one noisy slot (m = 40, evaluator
-#: 1e-4 and generator 5e-5 V rms, catalog faults at the cutoff; 2-vCPU
-#: Xeon, CPython 3.11.7, NumPy 2.4.6), per-device vs device-axis ms:
-#: 16 devices 61 vs 94, 24: 91 vs 104, 32: 114 vs 107, 64: 191 vs 146.
+#: channel has finite gain or incomplete settling.  Ideal and noise-only
+#: channels take their array forms at every size, which measured no
+#: slower than the per-device modulator from one device up
+#: (EXPERIMENTS.md).  The measured crossover of
+#: ``PopulationMeasurer.measure`` on one slot (m = 40, evaluator dc_gain
+#: 3000, settling error 1e-3 and 1e-4 V rms noise, generator 5e-5 V rms,
+#: catalog faults at the cutoff; 2-vCPU Xeon, CPython 3.11.7, NumPy
+#: 2.4.6), per-device vs device-axis ms, median of 9: 28 devices 112 vs
+#: 146, 32: 129 vs 143, 36: 143 vs 149, 40: 157 vs 160, 44: 182 vs 171.
 #: EXPERIMENTS.md has the full table.
-_BATCH_MIN_DEVICES = 32
+_BATCH_MIN_DEVICES = 40
 
 
-#: Devices per block of an ideal-channel slot (see
+#: Devices per block of an ideal or noise-only slot (see
 #: ``PopulationMeasurer._counts``): the block's response rows and the
-#: closed form's per-channel time-major working copy stay cache-resident
-#: instead of streaming a ``(devices x mn)`` matrix through memory.
+#: per-channel time-major working copy stay cache-resident instead of
+#: streaming a ``(devices x mn)`` matrix through memory.
 #: Measured on ``PopulationMeasurer.measure`` for one 5000-device ideal
 #: slot (yield_lot shape: m = 20, so mn = 1920; 2-vCPU Xeon with 2 MiB L2
 #: per core, CPython 3.11.7, NumPy 2.4.6), median of 9 with the sizes
@@ -372,9 +374,13 @@ class PopulationMeasurer:
             and config.generator_opamp is not None
             and config.generator_opamp.noise_rms != 0.0
         )
-        self._ideal_channels = _channel_is_ideal(
-            self.evaluator.channel1, self._has_rng
-        ) and _channel_is_ideal(self.evaluator.channel2, self._has_rng)
+        # Channels that need the device-axis time loop: neither ideal
+        # nor noise-only.  Other slots are walked in device blocks.
+        self._looped_channels = any(
+            not _channel_is_ideal(channel, self._has_rng)
+            and not channel.is_leak_free()
+            for channel in (self.evaluator.channel1, self.evaluator.channel2)
+        )
         self._generator: SinewaveGenerator | None = None
         self._stimulus = np.empty(0)
 
@@ -532,15 +538,16 @@ class PopulationMeasurer:
         """The slot's signature and overload counts, one device block at a
         time.
 
-        Ideal channels treat every device on its own, so the slot walks
-        blocks of ``_BLOCK_DEVICES`` rows through one reused response
-        buffer and counts each block while it is still in cache; the
-        device-axis modulator of non-ideal channels needs every device
-        at once, so there the whole slot is one block.
+        Ideal and noise-only channels treat every device on its own, so
+        the slot walks blocks of ``_BLOCK_DEVICES`` rows through one
+        reused response buffer and counts each block while it is still
+        in cache; the device-axis recurrence of finite-gain or
+        incompletely settling channels needs every device at once, so
+        there the whole slot is one block.
         """
         n_devices = len(population)
         fill = self._row_filler(population, fwaves, rngs)
-        block = _BLOCK_DEVICES if self._ideal_channels else n_devices
+        block = n_devices if self._looped_channels else _BLOCK_DEVICES
         buffer = np.empty((min(block, n_devices), self.mn))
         i1 = np.empty(n_devices, dtype=np.int64)
         i2 = np.empty(n_devices, dtype=np.int64)
@@ -572,9 +579,9 @@ class PopulationMeasurer:
 
         channel1 = self.evaluator.channel1
         channel2 = self.evaluator.channel2
-        if not self._ideal_channels and len(rngs) < _BATCH_MIN_DEVICES:
-            # Small non-ideal populations (a diagnosis-time signature, a
-            # short sweep): the time-stepped device-axis loop would not
+        if self._looped_channels and len(rngs) < _BATCH_MIN_DEVICES:
+            # Small finite-gain populations (a diagnosis-time signature,
+            # a short sweep): the time-stepped device-axis loop would not
             # amortize its per-step NumPy calls — run the reference
             # modulator per device, wired to the job's RNG.
             return self._per_device_counts(rngs, responses, u0)
@@ -675,7 +682,8 @@ class PopulationMeasurer:
         responses: np.ndarray,
         u0: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Reference modulators per device (small non-ideal slots).
+        """Reference modulators per device (small slots of finite-gain or
+        incompletely settling channels).
 
         Each device gets fresh modulator instances wired to its job RNG,
         so branch selection, noise consumption and arithmetic are the
@@ -718,17 +726,18 @@ class PopulationMeasurer:
 
         The reference draws channel 1's window, then channel 2's, from
         the job's stream — but only on the non-ideal branch; the caller
-        invokes this for channel 1 first.  Time-major, one device per
-        column.
+        invokes this for channel 1 first.  Each window is written to a
+        contiguous device row; the result is the time-major view, one
+        device per column.
         """
         rms = channel.opamp.noise_rms
         if _channel_is_ideal(channel, self._has_rng) or not self._has_rng or rms == 0.0:
             return None
-        noise = np.zeros((self.mn, len(rngs)))
+        noise = np.zeros((len(rngs), self.mn))
         for i, rng in enumerate(rngs):
             if rng is not None:
-                noise[:, i] = rng.normal(0.0, rms, size=self.mn)
-        return noise
+                noise[i] = rng.normal(0.0, rms, size=self.mn)
+        return noise.T
 
     def _channel_counts(
         self,
@@ -742,16 +751,16 @@ class PopulationMeasurer:
         """One channel's signature counts for a block of response rows."""
         chopped = self.config.chopped
         if not _channel_is_ideal(channel, self._has_rng):
-            # A noiseless channel still adds 0.0, as the reference does.
-            return _count_signatures(
-                _nonideal_bits(
-                    channel,
-                    _modulated(q, responses),
-                    u0,
-                    0.0 if noise is None else noise,
-                ),
-                chopped,
-            )
+            # The reference drive, (w + offset) + noise; a noiseless
+            # channel still adds 0.0, as the reference does.
+            drive = _modulated(q, responses)
+            drive += channel.opamp.offset
+            drive += 0.0 if noise is None else noise
+            if channel.is_leak_free():
+                bits, _ = channel.speculate_bits(drive, u0)
+            else:
+                bits = _nonideal_bits(channel, drive, u0)
+            return _count_signatures(bits, chopped)
         half_span = 2.0 * channel.gain * channel.vref
         fast = (
             (overload == 0)

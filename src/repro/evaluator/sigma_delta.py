@@ -38,15 +38,31 @@ so the whole bitstream is two :func:`numpy.cumsum`/:func:`numpy.floor`
 passes instead of a Python per-sample loop — the analyzer's dominant
 cost (~70 % of a gain/phase point).  :meth:`FirstOrderSigmaDelta.modulate`
 takes this path automatically for the ideal modulator with in-range
-input and initial state.  Otherwise it runs the recurrence sample by
-sample: the ideal loop for an overloaded input or an out-of-range
-initial state, and the non-ideal loop, on Python floats, whenever an
-imperfection is enabled (non-idealities couple the state nonlinearly
-and have no closed form).  The population backend
-(:mod:`repro.engine.vectorized`) calls this method per device for small
-non-ideal slots (and for an ideal slot's rare overloaded device) and
-runs the same non-ideal recurrence over device-axis vectors for wide
-ones.
+input and initial state; an overloaded input or an out-of-range initial
+state runs the ideal recurrence sample by sample.
+
+Noise-only modulators: guess, then verify
+-----------------------------------------
+An amplifier with infinite DC gain and complete settling (the
+noise-only amplifiers every scenario builds; offsets and saturation are
+allowed) leaves the leak at exactly 1, so each step adds one of two
+fixed increments, ``g (drive -/+ vref)`` with ``drive = (w + offset) +
+noise``.  Given the decisions, the state sequence is therefore exactly
+the sequential ``cumsum`` of the chosen increments, and the decisions
+follow the running-floor solution above with ``t = (drive/vref + 1)/2``
+and ``y0 = (u0 - comparator_offset) / (2 g vref)``.
+:meth:`FirstOrderSigmaDelta.speculate_bits` guesses the decisions from
+those floors, rebuilds the exact state by ``cumsum``, and accepts a
+window only once every decision equals ``u[n] >= threshold`` on that
+state (and, for a finite ``v_sat``, no state clips); a window that
+fails runs the reference scalar loop from its first failing step.  The
+guess is never trusted: every accepted decision has been checked
+against the exact sequential state.  Finite gain or incomplete settling
+couple the state nonlinearly, so those modulators run the recurrence
+sample by sample (:meth:`FirstOrderSigmaDelta.sequential_bits`, on
+Python floats).  The population backend (:mod:`repro.engine.vectorized`)
+runs the same speculation over time-major device blocks, and the
+finite-gain recurrence over device-axis vectors in wide slots.
 """
 
 from __future__ import annotations
@@ -61,6 +77,20 @@ from ..units import DEFAULT_VREF
 
 #: The paper's integrator capacitor ratio CI/CF.
 PAPER_INTEGRATOR_GAIN = 0.4
+
+
+def _running_sum(a: np.ndarray) -> None:
+    """In place, ``a[k] += a[k - 1]`` down the rows of a C-contiguous 2-D
+    array: ``np.cumsum(a, axis=0)`` on each column, in sequence.
+
+    ``cumsum`` walks one column at a time, so its cost is one dependent
+    add per element.  Viewed as ``complex128``, two neighbouring columns
+    ride one complex add — the same two IEEE additions, componentwise —
+    which halves the walk for an even column count.
+    """
+    if a.shape[1] % 2 == 0:
+        a = a.view(np.complex128)
+    np.cumsum(a, axis=0, out=a)
 
 
 @dataclass
@@ -96,7 +126,8 @@ class FirstOrderSigmaDelta:
         :class:`~repro.errors.EvaluationError`; otherwise overloads are
         only counted (the hardware would simply degrade).
     vectorized:
-        Allow the exact closed-form fast path for the ideal modulator
+        Allow the exact array paths — the closed form of the ideal
+        modulator and the verified speculation of a noise-only one
         (default True).  ``False`` forces the reference sample loop —
         kept for the equivalence tests and the throughput benchmark.
     """
@@ -153,6 +184,15 @@ class FirstOrderSigmaDelta:
             and self.comparator_offset == 0.0
             and (amp.noise_rms == 0.0 or self.rng is None)
         )
+
+    def is_leak_free(self) -> bool:
+        """True when each step adds one of two fixed increments to the state.
+
+        Infinite DC gain (leak exactly 1) and complete settling: the
+        noise-only amplifier, which :meth:`speculate_bits` encodes
+        without a time loop.  Offsets, noise and saturation are allowed.
+        """
+        return self.opamp.inverse_gain == 0.0 and self.opamp.settling_error == 0.0
 
     # ------------------------------------------------------------------
     def modulate(
@@ -213,21 +253,124 @@ class FirstOrderSigmaDelta:
                 if noise_rms
                 else np.zeros(len(w))
             )
-            leak = 1.0 - amp.inverse_gain * g
-            settle = amp.settling_error
-            decisions = []
-            for wi, ni in zip(w.tolist(), noise.tolist()):
-                decide = u >= threshold
-                decisions.append(decide)
-                feedback = vref if decide else -vref
-                target = leak * u + g * (wi + offset + ni - feedback)
-                u = target - settle * (target - u)
-                if u > u_sat:
-                    u = u_sat
-                elif u < -u_sat:
-                    u = -u_sat
-            bits = np.where(decisions, 1, -1).astype(np.int8)
+            drive = (w + offset) + noise
+            if self.vectorized and self.is_leak_free():
+                column, states = self.speculate_bits(drive[:, None], np.array([u]))
+                bits, u = column[:, 0], states[0]
+            else:
+                bits, u = self.sequential_bits(drive, u)
         return ModulatorResult(bits, u_initial, float(u), overload)
+
+    def sequential_bits(self, drive: np.ndarray, u: float) -> tuple[np.ndarray, float]:
+        """The non-ideal recurrence, sample by sample, on Python floats.
+
+        ``drive`` is the window's ``(w + offset) + noise``; returns the
+        +/-1 decisions and the final state.  This is the reference loop:
+        :meth:`modulate` runs it for finite-gain or incompletely settling
+        amplifiers (and for every non-ideal modulator when
+        ``vectorized=False``), and :meth:`speculate_bits` resumes it
+        where a guessed window fails verification.
+        """
+        amp = self.opamp
+        g = self.gain
+        vref = self.vref
+        threshold = self.comparator_offset
+        leak = 1.0 - amp.inverse_gain * g
+        settle = amp.settling_error
+        u_sat = amp.v_sat
+        u = float(u)
+        decisions = []
+        for di in drive.tolist():
+            decide = u >= threshold
+            decisions.append(decide)
+            feedback = vref if decide else -vref
+            target = leak * u + g * (di - feedback)
+            u = target - settle * (target - u)
+            if u > u_sat:
+                u = u_sat
+            elif u < -u_sat:
+                u = -u_sat
+        return np.where(decisions, 1, -1).astype(np.int8), u
+
+    def speculate_bits(
+        self, drive: np.ndarray, u0: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Noise-only encoding of time-major windows, verified step by step.
+
+        ``drive`` is ``(n x columns)``, one window of ``(w + offset) +
+        noise`` per column, and ``u0`` the columns' initial states; returns
+        the time-major +/-1 decisions and the final states.  Requires
+        :meth:`is_leak_free`.  In order (module docstring):
+
+        1. the decisions are guessed from the floors of
+           ``y0 + cumsum(t)``, ``t = (drive/vref + 1)/2``;
+        2. the state is rebuilt as the sequential ``cumsum`` of ``[u0,
+           g (drive - feedback)]`` — the reference loop's operations in
+           its order, since ``leak * u == u`` and ``target - 0 * (target -
+           u) == target`` while ``target - u`` is finite (every state
+           finite and below ``2**1022`` in magnitude, far beyond any
+           physical drive);
+        3. step ``k`` is verified when its guess equals ``u[k] >=
+           threshold`` and ``u[k + 1]`` is finite and (for a finite
+           ``v_sat``) does not clip;
+        4. a column with an unverified step runs :meth:`sequential_bits`
+           from its first one, whose state is exact.
+
+        A verified prefix is the reference run: each decision was read
+        off the exact state the reference would hold.  The one possible
+        difference is the sign of a zero state (the reference's
+        ``target - settle * (target - u)`` can turn ``-0.0`` into
+        ``+0.0``); the two compare equal, so no decision and no final
+        state differs under ``==``.
+        """
+        g = self.gain
+        vref = self.vref
+        threshold = self.comparator_offset
+        u_sat = self.opamp.v_sat
+        n = drive.shape[0]
+        # Guess: row k holds floor(y0 + t[0] + ... + t[k - 1]) (summed in
+        # any order — only the verification below must be exact).
+        states = np.empty((n + 1, drive.shape[1]))
+        guess = states[:n]
+        guess[:1] = (u0 - threshold) / (2.0 * g * vref)
+        np.multiply(drive[:-1], 0.5 / vref, out=guess[1:])
+        guess[1:] += 0.5
+        _running_sum(guess)
+        np.floor(guess, out=guess)
+        decisions = np.empty(drive.shape, dtype=bool)
+        np.greater_equal(guess[:1], 0.0, out=decisions[:1])
+        np.greater(guess[1:], guess[:-1], out=decisions[1:])
+        # Exact state: u[k + 1] = u[k] + g * (drive[k] - feedback[k]),
+        # with the feedback exactly +/-vref.
+        increments = states[1:]
+        np.multiply(decisions, 2.0 * vref, out=increments)
+        increments -= vref
+        np.subtract(drive, increments, out=increments)
+        increments *= g
+        states[0] = u0
+        _running_sum(states)
+        # The decisions the exact states make; then, where they differ
+        # from the guess, the steps that failed.
+        failed = np.greater_equal(states[:-1], threshold)
+        np.not_equal(failed, decisions, out=failed)
+        if not np.isinf(u_sat):
+            failed |= states[1:] > u_sat
+            failed |= states[1:] < -u_sat
+        bits = decisions.astype(np.int8)
+        bits *= 2
+        bits -= 1
+        final = states[-1].copy()
+        for j in np.flatnonzero(failed.any(axis=0) | ~np.isfinite(final)).tolist():
+            unverified = failed[:, j]
+            if not np.isfinite(final[j]):
+                # Non-finite states are absorbing: the first one ends
+                # the verified prefix.
+                unverified = unverified | ~np.isfinite(states[1:, j])
+            start = int(np.argmax(unverified))
+            bits[start:, j], final[j] = self.sequential_bits(
+                drive[start:, j], states[start, j]
+            )
+        return bits, final
 
     def _modulate_ideal_vectorized(
         self, w: np.ndarray, u0: float

@@ -64,8 +64,12 @@ class OpAmpModel:
             )
         if not self.v_sat > 0:
             raise ConfigError(f"v_sat must be positive, got {self.v_sat!r}")
-        if self.noise_rms < 0:
-            raise ConfigError(f"noise_rms must be >= 0, got {self.noise_rms!r}")
+        if not 0.0 <= self.noise_rms < float("inf"):
+            raise ConfigError(
+                f"noise_rms must be finite and >= 0, got {self.noise_rms!r}"
+            )
+        if not -float("inf") < self.offset < float("inf"):
+            raise ConfigError(f"offset must be finite, got {self.offset!r}")
 
     # ------------------------------------------------------------------
     # Convenience constructors

@@ -108,16 +108,12 @@ class AnalyzerSettings:
                 f"analyzer: stimulus_amplitude must be in (0, 0.5] V, "
                 f"got {self.stimulus_amplitude!r}"
             )
-        if self.evaluator_noise_rms < 0:
-            raise ConfigError(
-                f"analyzer: evaluator_noise_rms must be >= 0, "
-                f"got {self.evaluator_noise_rms!r}"
-            )
-        if self.generator_noise_rms < 0:
-            raise ConfigError(
-                f"analyzer: generator_noise_rms must be >= 0, "
-                f"got {self.generator_noise_rms!r}"
-            )
+        for field in ("evaluator_noise_rms", "generator_noise_rms"):
+            value = getattr(self, field)
+            if not 0.0 <= value < float("inf"):
+                raise ConfigError(
+                    f"analyzer: {field} must be finite and >= 0, got {value!r}"
+                )
 
 
 # ----------------------------------------------------------------------

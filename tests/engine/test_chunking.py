@@ -38,6 +38,16 @@ NOISY = AnalyzerConfig.ideal(
     noise_seed=3,
 )
 
+#: Finite gain and incomplete settling in the evaluator: the only
+#: channels the device-axis loop and the per-device modulator still
+#: serve (noise-only ones take the verified speculation at every size).
+LOOPED = AnalyzerConfig.ideal(
+    m_periods=M,
+    generator_opamp=OpAmpModel(noise_rms=50e-6),
+    evaluator_opamp=OpAmpModel(dc_gain=3000.0, settling_error=1e-3, noise_rms=100e-6),
+    noise_seed=3,
+)
+
 
 #: Ideal modulator channels on per-device noisy stimuli with random
 #: power-up states: under ``slot_block`` every ``BLOCK_AT``-device block
@@ -63,8 +73,9 @@ def fault_signatures(trials):
 
 #: Backend cases for the invariance tests: the vectorized backend runs
 #: once with the shipped strategy boundary and once split at
-#: ``SPLIT_AT`` (see ``conftest.py``), so chunked runs put non-ideal
-#: slots on both sides of it; ``blocked`` runs the ideal-channel
+#: ``SPLIT_AT`` (see ``conftest.py``), so chunked runs of the ``LOOPED``
+#: analyzer put its slots on both sides of it (``NOISY`` slots take the
+#: same path either way); ``blocked`` runs the ideal-channel
 #: ``BLOCKED`` analyzer in ``BLOCK_AT``-device blocks, so chunk edges
 #: fall mid-block and slots end in partial blocks.
 BACKEND_CASES = pytest.mark.parametrize(
@@ -74,8 +85,19 @@ BACKEND_CASES = pytest.mark.parametrize(
         ("vectorized", NOISY, None, None),
         ("vectorized", NOISY, SPLIT_AT, None),
         ("vectorized", BLOCKED, None, BLOCK_AT),
+        ("reference", LOOPED, None, None),
+        ("vectorized", LOOPED, None, None),
+        ("vectorized", LOOPED, SPLIT_AT, None),
     ],
-    ids=["reference", "vectorized", "vectorized-split", "blocked"],
+    ids=[
+        "reference",
+        "vectorized",
+        "vectorized-split",
+        "blocked",
+        "looped-reference",
+        "looped",
+        "looped-split",
+    ],
     indirect=["slot_split", "slot_block"],
 )
 
@@ -117,19 +139,20 @@ class TestExactChannelInvariance:
         """Any (backend, chunk) pair lands on the same exact channel,
         with the vectorized chunks on either modulator strategy."""
         duts = catalog()
-        reference = fault_signatures(
-            BatchRunner(chunk_size=4).run_fault_trials(
-                duts, NOISY, FREQS, m_periods=M
-            )
-        )
-        for split in (vectorized._BATCH_MIN_DEVICES, SPLIT_AT):
-            monkeypatch.setattr(vectorized, "_BATCH_MIN_DEVICES", split)
-            chunked = fault_signatures(
-                BatchRunner(backend="vectorized", chunk_size=3).run_fault_trials(
-                    duts, NOISY, FREQS, m_periods=M
+        for config in (NOISY, LOOPED):
+            reference = fault_signatures(
+                BatchRunner(chunk_size=4).run_fault_trials(
+                    duts, config, FREQS, m_periods=M
                 )
             )
-            assert chunked == reference
+            for split in (vectorized._BATCH_MIN_DEVICES, SPLIT_AT):
+                monkeypatch.setattr(vectorized, "_BATCH_MIN_DEVICES", split)
+                chunked = fault_signatures(
+                    BatchRunner(backend="vectorized", chunk_size=3).run_fault_trials(
+                        duts, config, FREQS, m_periods=M
+                    )
+                )
+                assert chunked == reference
 
     @BACKEND_CASES
     def test_sweep_chunking_invariant(
@@ -183,8 +206,14 @@ class TestExactChannelInvariance:
 
     @pytest.mark.parametrize(
         ("config", "slot_split"),
-        [(AnalyzerConfig.ideal(m_periods=M), None), (NOISY, None), (NOISY, SPLIT_AT)],
-        ids=["ideal", "noisy", "noisy-split"],
+        [
+            (AnalyzerConfig.ideal(m_periods=M), None),
+            (NOISY, None),
+            (NOISY, SPLIT_AT),
+            (LOOPED, None),
+            (LOOPED, SPLIT_AT),
+        ],
+        ids=["ideal", "noisy", "noisy-split", "looped", "looped-split"],
         indirect=["slot_split"],
     )
     def test_mixed_pole_lot_matches_reference(self, config, slot_split):

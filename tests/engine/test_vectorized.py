@@ -21,6 +21,7 @@ from repro.dut.faults import fault_catalog, full_catalog
 from repro.dut.statespace import stack_population
 from repro.engine import BatchRunner, PopulationMeasurer
 from repro.errors import ConfigError
+from repro.evaluator.sigma_delta import FirstOrderSigmaDelta
 from repro.faults.campaign import FaultCampaign
 from repro.sc.opamp import OpAmpModel
 from tests.engine.conftest import BLOCK_AT, SPLIT_AT
@@ -42,6 +43,13 @@ M = 20
 IDEAL = AnalyzerConfig.ideal(m_periods=M)
 NOISY = AnalyzerConfig.ideal(
     m_periods=M, evaluator_opamp=OpAmpModel(noise_rms=50e-6), noise_seed=7
+)
+#: Finite gain and incomplete settling: the device-axis loop in wide
+#: slots, the per-device modulator below ``_BATCH_MIN_DEVICES``.
+LOOPED = AnalyzerConfig.ideal(
+    m_periods=M,
+    evaluator_opamp=OpAmpModel(dc_gain=3000.0, settling_error=1e-3, noise_rms=50e-6),
+    noise_seed=7,
 )
 NOISY_RANDOM_STATE = AnalyzerConfig.ideal(
     m_periods=M,
@@ -89,7 +97,9 @@ def assert_measurements_equivalent(a, b):
 
 class TestFaultTrialEquivalence:
     @pytest.mark.parametrize(
-        "config", [IDEAL, NOISY, NOISY_RANDOM_STATE], ids=["ideal", "noisy", "noisy-random-state"]
+        "config",
+        [IDEAL, NOISY, NOISY_RANDOM_STATE, LOOPED],
+        ids=["ideal", "noisy", "noisy-random-state", "looped"],
     )
     def test_batched_population(self, config):
         duts = [GOLDEN] + big_catalog()
@@ -101,10 +111,13 @@ class TestFaultTrialEquivalence:
             for a, b in zip(trial_a, trial_b):
                 assert_measurements_equivalent(a, b)
 
-    @pytest.mark.parametrize("config", [IDEAL, NOISY], ids=["ideal", "noisy"])
+    @pytest.mark.parametrize(
+        "config", [IDEAL, NOISY, LOOPED], ids=["ideal", "noisy", "looped"]
+    )
     def test_small_population(self, config):
-        """Below the batching threshold non-ideal channels take the
-        per-device strategy; ideal ones keep the closed form."""
+        """Below the batching threshold finite-gain channels take the
+        per-device strategy; ideal and noise-only ones keep their array
+        forms."""
         duts = [GOLDEN] + small_catalog()[:2]
         reference = BatchRunner().run_fault_trials(duts, config, FREQS, m_periods=M)
         vectorized = BatchRunner(backend="vectorized").run_fault_trials(
@@ -130,6 +143,28 @@ class TestFaultTrialEquivalence:
             for a, b in zip(trial_a, trial_b):
                 assert_measurements_equivalent(a, b)
 
+    def test_noise_only_overloads_take_the_fallback(self, monkeypatch):
+        """Overloading faults fail the noise-only kernel's verification:
+        the guard that the scalar fallback runs, and matches, on a real
+        population."""
+        duts = [GOLDEN] + [f.apply(GOLDEN) for f in full_catalog([-0.5, 0.5])]
+        reference = BatchRunner().run_fault_trials(duts, NOISY, FREQS, m_periods=M)
+        fallbacks = []
+        loop = FirstOrderSigmaDelta.sequential_bits
+
+        def spy(modulator, drive, u):
+            fallbacks.append(len(drive))
+            return loop(modulator, drive, u)
+
+        monkeypatch.setattr(FirstOrderSigmaDelta, "sequential_bits", spy)
+        vectorized = BatchRunner(backend="vectorized").run_fault_trials(
+            duts, NOISY, FREQS, m_periods=M
+        )
+        assert fallbacks, "no window failed verification"
+        for trial_a, trial_b in zip(reference, vectorized):
+            for a, b in zip(trial_a, trial_b):
+                assert_measurements_equivalent(a, b)
+
     def test_start_index_preserves_substreams(self):
         duts = big_catalog()
         reference = BatchRunner().run_fault_trials(
@@ -143,13 +178,14 @@ class TestFaultTrialEquivalence:
                 assert_measurements_equivalent(a, b)
 
 
-#: Ideal and noisy analyzers; the noisy one also with the non-ideal
-#: strategy boundary split at ``SPLIT_AT`` (see ``conftest.py``), which
-#: moves these slots from the per-device to the device-axis modulator.
+#: Ideal, noise-only and finite-gain analyzers, the last two also with
+#: the strategy boundary split at ``SPLIT_AT`` (see ``conftest.py``),
+#: which moves ``LOOPED`` slots from the per-device to the device-axis
+#: modulator (noise-only slots take the same path either way).
 CONFIG_CASES = pytest.mark.parametrize(
     ("config", "slot_split"),
-    [(IDEAL, None), (NOISY, None), (NOISY, SPLIT_AT)],
-    ids=["ideal", "noisy", "noisy-split"],
+    [(IDEAL, None), (NOISY, None), (NOISY, SPLIT_AT), (LOOPED, None), (LOOPED, SPLIT_AT)],
+    ids=["ideal", "noisy", "noisy-split", "looped", "looped-split"],
     indirect=["slot_split"],
 )
 
@@ -185,8 +221,10 @@ YIELD_CASES = pytest.mark.parametrize(
         (NOISY, None, None),
         (NOISY, SPLIT_AT, None),
         (BLOCKED, None, BLOCK_AT),
+        (LOOPED, None, None),
+        (LOOPED, SPLIT_AT, None),
     ],
-    ids=["ideal", "noisy", "noisy-split", "blocked"],
+    ids=["ideal", "noisy", "noisy-split", "blocked", "looped", "looped-split"],
     indirect=["slot_split", "slot_block"],
 )
 

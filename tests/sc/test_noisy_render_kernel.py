@@ -9,6 +9,9 @@ per-step ``SCBiquad.step`` with scalar noise draws, the device-axis
 render matrix of the population backend, the NumPy-scalar modulator
 loop and the ``np.clip``/``np.where`` device-axis modulator.  Every
 output must match bit for bit, and the RNG must end in the same state.
+(For noise-only amplifiers ``modulate`` runs the verified speculation
+kernel, which ``tests/evaluator/test_noise_only_kernel.py`` checks in
+depth.)
 """
 
 import math
@@ -342,39 +345,58 @@ class TestModulators:
         u0 = rng.uniform(-0.2, 0.2, n_devices)
         noise = rng.normal(0.0, amp.noise_rms or 1e-4, (n_devices, n))
         want = old_nonideal_bits(channel, w, u0, noise)
-        # The kernel is time-major: one device per column.
-        got = vectorized._nonideal_bits(
-            channel, np.ascontiguousarray(w.T), u0, np.ascontiguousarray(noise.T)
-        )
+        # The kernel is time-major, one device per column, and takes the
+        # reference drive (w + offset) + noise.
+        drive = (np.ascontiguousarray(w.T) + amp.offset) + noise.T
+        got = vectorized._nonideal_bits(channel, drive, u0)
         assert np.ascontiguousarray(got.T).tobytes() == want.tobytes()
         for i in range(n_devices):
             bits, _, _ = old_modulate(channel, w[i], u0[i], noise[i])
             assert got[:, i].tobytes() == bits.tobytes()
 
     def test_device_axis_noiseless_adds_zero(self):
-        """``noise=0.0`` is the old loop fed a zero noise matrix."""
+        """A drive with ``+ 0.0`` for noise is the old loop fed a zero
+        noise matrix."""
         channel = FirstOrderSigmaDelta(opamp=MODULATOR_AMPS["noiseless-offset"])
         x, q = modulator_input(480, 4)
         w = np.stack([q * x, -q * x, np.zeros_like(x)])
         u0 = np.array([0.0, -0.0, 0.1])
         want = old_nonideal_bits(channel, w, u0, np.zeros_like(w))
-        got = vectorized._nonideal_bits(channel, np.ascontiguousarray(w.T), u0, 0.0)
+        drive = (np.ascontiguousarray(w.T) + channel.opamp.offset) + 0.0
+        got = vectorized._nonideal_bits(channel, drive, u0)
         assert np.ascontiguousarray(got.T).tobytes() == want.tobytes()
 
 
+#: Evaluator amplifiers of the slot test: noise-only with an offset (the
+#: verified speculation, whatever the boundary) and one that settles
+#: incompletely (the device-axis loop or the per-device modulator).
+SLOT_EVALUATORS = {
+    "noise-only": OpAmpModel(offset=2e-3, noise_rms=1e-4),
+    "settling": OpAmpModel(settling_error=1e-3, offset=2e-3, noise_rms=1e-4),
+}
+
+
 class TestSlotStrategies:
-    """Both modulator strategies, on a slot with different lead-ins."""
+    """Every modulator strategy, on a slot with different lead-ins."""
 
     M = 6
     GOLDEN = ActiveRCLowpass.from_specs(cutoff=1000.0)
 
-    @pytest.mark.parametrize("threshold", [1, 10**6], ids=["device-axis", "per-device"])
-    def test_slot_matches_reference_backend(self, monkeypatch, threshold):
+    @pytest.mark.parametrize(
+        "threshold, evaluator",
+        [
+            pytest.param(1, "noise-only", id="device-axis"),
+            pytest.param(10**6, "noise-only", id="per-device"),
+            pytest.param(1, "settling", id="settling-device-axis"),
+            pytest.param(10**6, "settling", id="settling-per-device"),
+        ],
+    )
+    def test_slot_matches_reference_backend(self, monkeypatch, threshold, evaluator):
         amp = OpAmpModel(settling_error=1e-4, v_sat=1.4, offset=1e-3, noise_rms=5e-5)
         config = AnalyzerConfig.ideal(
             m_periods=self.M,
             generator_opamp=amp,
-            evaluator_opamp=OpAmpModel(offset=2e-3, noise_rms=1e-4),
+            evaluator_opamp=SLOT_EVALUATORS[evaluator],
             noise_seed=29,
             random_modulator_state=True,
         )
