@@ -1,12 +1,13 @@
 """Analyzer-as-a-service, end to end: submit, stream, survive a crash.
 
-Boots the async service plus its TCP server in-process, replays two of
+Boots the async service plus its TCP server in-process, replays three of
 the committed example scenarios through :class:`ServiceClient`, and
 diffs each streamed result against the committed golden baseline — the
-same drift check CI applies to synchronous runs.  The second scenario
-runs with a deliberately injected worker death: the killed shard is
-re-enqueued and re-executed on its original seed substream, so even the
-crash run checks clean against the recording.
+same drift check CI applies to synchronous runs.  The fault campaign
+and the yield lot run with a deliberately injected worker death: the
+killed shard is re-enqueued and re-executed on its original seed
+substream (a yield lot's components are drawn before its chunks are
+dispatched), so even the crash runs check clean against the recording.
 
 Run with::
 
@@ -56,15 +57,16 @@ def main() -> None:
     ))
 
     # Chaos: the 2nd shard task started gets WorkerDied mid-flight.
-    snapshot = asyncio.run(roundtrip(
-        "roundtrip with an injected worker death:", "fault_coverage",
-        chaos_kill_shard=2,
-    ))
-    deaths = snapshot["service.worker_deaths"]["value"]
-    retries = snapshot["service.retries"]["value"]
-    assert deaths == 1 and retries == 1, snapshot
-    print(f"  worker deaths: {deaths}, shard retries: {retries} — "
-          f"replayed shard matched the recording bit for bit")
+    for name in ("fault_coverage", "yield_lot"):
+        snapshot = asyncio.run(roundtrip(
+            "roundtrip with an injected worker death:", name,
+            chaos_kill_shard=2,
+        ))
+        deaths = snapshot["service.worker_deaths"]["value"]
+        retries = snapshot["service.retries"]["value"]
+        assert deaths == 1 and retries == 1, snapshot
+        print(f"  worker deaths: {deaths}, shard retries: {retries} — "
+              f"replayed shard matched the recording bit for bit")
 
 
 if __name__ == "__main__":

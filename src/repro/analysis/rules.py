@@ -26,9 +26,8 @@ REP002    **Seam compliance.** Execution resources are decided in one
           forwarding surface (they pass verbatim into an
           ``ExecutionPolicy`` and are part of the recorded-baseline
           contract), so ``repro/scenarios`` is exempt; the service
-          layer wraps the seam (its ``ShardingRunner`` subclasses
-          ``BatchRunner``), so ``repro/service`` is parameter-exempt
-          too.
+          layer forwards each job's policy to the seam and sizes its
+          worker pool, so ``repro/service`` is parameter-exempt too.
 REP003    **Error discipline.** Raises inside ``src/repro`` must be
           :class:`~repro.errors.ConfigError`-family exceptions naming
           the offending field — never bare ``ValueError``/``TypeError``/
@@ -399,8 +398,8 @@ class SeamRule(Rule):
     #: Additional packages whose backend=/n_workers= *parameters* are a
     #: documented forwarding surface: the scenario layer forwards them
     #: verbatim into an ExecutionPolicy (part of the recorded-baseline
-    #: contract) and the service layer wraps the seam (its
-    #: ShardingRunner subclasses BatchRunner).
+    #: contract) and the service layer forwards each job's policy to
+    #: the seam and sizes its worker pool.
     KWARG_EXEMPT_PREFIXES = SEAM_PREFIXES + (
         "repro/scenarios/", "repro/service/",
     )

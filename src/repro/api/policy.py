@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from dataclasses import dataclass
+from typing import Any
 
 from ..engine.cache import DEFAULT_MAX_ENTRIES, CalibrationCache
 from ..engine.runner import BACKENDS, BatchRunner
@@ -133,8 +134,16 @@ class ExecutionPolicy:
         *,
         obs: Recorder | None = None,
         metrics: MetricRegistry | None = None,
+        pool: Any = None,
     ) -> BatchRunner:
-        """A fresh batch runner configured by this policy."""
+        """A fresh batch runner configured by this policy.
+
+        ``pool`` is where the runner's chunks run (see
+        :class:`~repro.engine.runner.BatchRunner`): omitted, inline;
+        the service passes its shared
+        :class:`~repro.service.sharding.WorkerPool`, on which each
+        batch keeps at most ``n_workers`` chunks in flight.
+        """
         return BatchRunner(
             n_workers=self.n_workers,
             backend=self.backend,
@@ -144,6 +153,7 @@ class ExecutionPolicy:
             chunk_size=self.chunk_size,
             obs=obs,
             metrics=metrics,
+            pool=pool,
         )
 
     def replace(self, **changes: object) -> "ExecutionPolicy":

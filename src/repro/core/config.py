@@ -15,6 +15,7 @@ simulated.  Two factory configurations cover the common cases:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from ..errors import ConfigError
@@ -23,6 +24,18 @@ from ..evaluator.sigma_delta import PAPER_INTEGRATOR_GAIN
 from ..sc.mismatch import MismatchModel
 from ..sc.opamp import OpAmpModel
 from ..units import DEFAULT_VREF
+
+
+#: The real-valued fields of :class:`AnalyzerConfig`; each must be finite.
+_FLOAT_FIELDS = (
+    "vref",
+    "sd_gain",
+    "epsilon",
+    "stimulus_amplitude",
+    "dut_settle_tolerance",
+    "evaluator_offset2",
+    "image_budget_gain",
+)
 
 
 @dataclass(frozen=True)
@@ -100,6 +113,10 @@ class AnalyzerConfig:
     image_budget_gain: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         if not self.vref > 0:
             raise ConfigError(f"vref must be positive, got {self.vref!r}")
         if not self.sd_gain > 0:

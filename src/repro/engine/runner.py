@@ -26,15 +26,30 @@ Where cores are scarce (a single-CPU tester host), the runner's
 Monte-Carlo lots, fault catalogs, sweep grids — as stacked array
 operations in one process (:mod:`repro.engine.vectorized`), result-
 equivalent to the reference per-job path.
+
+Every population workload — sweeps, fault campaigns, pseudorandom
+campaigns, yield lots and distortion batches — runs through one
+dispatcher, :meth:`BatchRunner._run_population`.  A public ``run_*``
+method validates its arguments and describes one *chunk* of its work:
+the reference job list, or a vectorized measurement task.  The
+dispatcher owns everything else once: the batch span, calibration,
+chunk bounds, the ``chunk[k]`` and ``job[i]`` spans, the backend
+decision and the batch accounting.  A chunk runs inline on the calling
+thread, or, on a runner given a thread ``pool`` (the service's
+:class:`~repro.service.sharding.WorkerPool`), as a pure task on that
+pool with at most ``n_workers`` chunks of the batch in flight.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import ProcessPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -46,6 +61,7 @@ from ..core.config import AnalyzerConfig
 from ..core.measurement import GainPhaseMeasurement
 from ..dut.active_rc import FilterComponents, lot_population
 from ..dut.base import DUT
+from ..dut.statespace import stack_population
 from ..errors import ConfigError
 from ..obs.metrics import MetricRegistry
 from ..obs.recorder import default_recorder
@@ -98,6 +114,24 @@ class BatchStats:
         return self.cache_hits / total if total else 0.0
 
 
+def _run_jobs(fn, jobs: list) -> list:
+    """A reference chunk on a pool thread: its jobs, serially, in order."""
+    return [fn(job) for job in jobs]
+
+
+def _misr_trials(misr, measure) -> list:
+    """MISR-compact each device of a measured prbist chunk."""
+    from ..prbist.misr import PrbistTrial, misr_compact, response_words
+
+    trials = []
+    for measurements in measure():
+        words = response_words(measurements, misr.width)
+        trials.append(
+            PrbistTrial(words=words, signature=misr_compact(words, misr))
+        )
+    return trials
+
+
 class BatchRunner:
     """Schedulable batch execution of analyzer measurements.
 
@@ -105,7 +139,9 @@ class BatchRunner:
     ----------
     n_workers:
         Worker processes.  1 (default) runs inline; ``N > 1`` uses a
-        :class:`concurrent.futures.ProcessPoolExecutor`.
+        :class:`concurrent.futures.ProcessPoolExecutor`.  On a runner
+        with a ``pool`` it is instead the most chunks of one batch in
+        flight on that pool.
     cache:
         Calibration cache to consult and fill; a private one is created
         when not provided.  Share one cache across runners to amortize
@@ -144,6 +180,14 @@ class BatchRunner:
         is created when not provided.  An adopted cache keeps its own
         registry (its counters stay the one source of truth for
         hit/miss accounting) — trace export merges the snapshots.
+    pool:
+        Where chunks run: ``None`` (default) runs each chunk inline on
+        the calling thread; a thread pool whose ``submit(task)``
+        returns a :class:`concurrent.futures.Future` (the service's
+        :class:`~repro.service.sharding.WorkerPool`) runs each chunk as
+        a task there, results still in job order.  A chunk on a pool
+        runs its reference jobs serially: only an inline runner opens a
+        process pool.  The runner never closes a pool it was given.
     """
 
     def __init__(
@@ -155,6 +199,7 @@ class BatchRunner:
         chunk_size: int | None = None,
         obs=None,
         metrics: MetricRegistry | None = None,
+        pool=None,
     ) -> None:
         if not isinstance(n_workers, int) or n_workers < 1:
             raise ConfigError(f"n_workers must be an integer >= 1, got {n_workers!r}")
@@ -173,6 +218,7 @@ class BatchRunner:
         self.n_workers = n_workers
         self.backend = backend
         self.chunk_size = chunk_size
+        self.pool = pool
         self.obs = obs if obs is not None else default_recorder()
         self.metrics = metrics if metrics is not None else MetricRegistry()
         if cache is None:
@@ -265,13 +311,10 @@ class BatchRunner:
         if self._executor is None:
             self._executor = ProcessPoolExecutor(max_workers=self.n_workers)
         results = list(self._executor.map(fn, jobs, chunksize=chunk))
-        if self.obs.enabled:
-            # Pool jobs execute in worker processes; their spans are
-            # emitted here with zero-ish duration so the tree *shape*
-            # matches a serial run — worker attribution is timing-channel.
-            for i, job in enumerate(jobs):
-                with self._job_span(job, i, worker="pool"):
-                    pass
+        # Pool jobs execute in worker processes; their spans are emitted
+        # here with zero-ish duration so the tree *shape* matches a
+        # serial run — worker attribution is timing-channel.
+        self._job_spans((getattr(job, "index", i) for i, job in enumerate(jobs)), "pool")
         return results
 
     def _job_span(self, job, i: int, worker: str):
@@ -282,19 +325,20 @@ class BatchRunner:
         span.annotate_timing(worker=worker)
         return span
 
-    def _array_job_spans(self, indices) -> None:
-        """Synthetic per-job spans for a vectorized (stacked-array) batch.
+    def _job_spans(self, indices, worker: str) -> None:
+        """Zero-duration per-job spans for jobs that ran elsewhere.
 
-        The vectorized backend evaluates the whole population at once;
-        emitting one zero-duration span per logical job keeps the span
-        tree shape identical to the reference backend's, which is what
-        lets traces be diffed across backends.
+        A vectorized chunk evaluates its population at once and a pool
+        runs its jobs off this thread; emitting one span per logical job
+        here keeps the span tree shape identical to an inline reference
+        run, which is what lets traces be diffed across backends and
+        executors.
         """
         if not self.obs.enabled:
             return
         for i in indices:
             with self.obs.span(f"job[{i}]", kind="engine.job") as span:
-                span.annotate_timing(worker="array")
+                span.annotate_timing(worker=worker)
 
     def close(self) -> None:
         """Shut down the worker pool (no-op if none was created)."""
@@ -314,60 +358,123 @@ class BatchRunner:
         except Exception:
             pass
 
-    def _record(
-        self, n_jobs: int, hits0: int, misses0: int, backend: str = "reference"
-    ) -> None:
-        self.last_stats = BatchStats(
-            n_jobs=n_jobs,
-            n_workers=self._last_effective_workers,
-            cache_hits=self.cache.hits - hits0,
-            cache_misses=self.cache.misses - misses0,
-            backend=backend,
-        )
-
-    def _finish_batch(
+    # ------------------------------------------------------------------
+    # The population dispatcher
+    # ------------------------------------------------------------------
+    def _run_population(
         self,
-        span,
-        n_jobs: int,
-        hits0: int,
-        misses0: int,
-        used: str,
-        fallback: bool,
-    ) -> None:
-        """Close out one batch: stats, counters, and the backend event.
+        name: str,
+        exact: dict,
+        n: int,
+        prepare,
+        *,
+        first: int = 0,
+        population: bool = True,
+    ) -> list:
+        """Run one batch of ``n`` jobs chunk by chunk; results in job order.
 
-        The ``backend`` event is emitted on *every* batch with its whole
-        payload in the timing channel: the backend actually used (and
-        whether it was a fallback) may legitimately differ between a
-        reference and a vectorized run of the same workload, and must
-        not perturb the exact-channel determinism contract.  Cache
-        deltas, by contrast, are backend-invariant (calibration is
-        acquired once per batch in this process) and go in the exact
-        channel.
+        ``prepare(used)`` runs first, inside the batch span, with the
+        backend this batch uses: it acquires the calibration and returns
+        ``chunk(start, stop)``, which builds the work of jobs
+        ``start..stop``.  A chunk is either ``(fn, jobs)`` — reference
+        jobs, run through :meth:`map_jobs` inline or serially on a pool
+        thread — or ``(task, None)``, a vectorized task returning the
+        chunk's results.  ``first`` is the seed index of job 0, and
+        ``population=False`` marks a workload with no vectorized path
+        that is never chunked (distortion).
+
+        ``chunk`` always runs on this thread, in chunk order: anything
+        that consumes a shared RNG (a yield lot's component draws) or
+        grows shared state (the measurer's stimulus render) happens
+        there.  A task handed to a pool only reads what its chunk was
+        given and returns results; every span and counter is emitted
+        here, in chunk order, so a batch's exact channel is the same on
+        every executor.  At most ``n_workers`` chunks are in flight on a
+        pool, so a lot's footprint stays O(``n_workers`` x chunk), and a
+        failed chunk fails the batch once its in-flight siblings settle.
         """
-        self._batches.inc()
-        self._jobs.inc(n_jobs)
-        if fallback:
-            self._fallbacks.inc()
-        self._record(n_jobs, hits0, misses0, backend=used)
-        span.annotate(
-            cache_hits=self.cache.hits - hits0,
-            cache_misses=self.cache.misses - misses0,
+        hits0, misses0 = self.cache.hits, self.cache.misses
+        used, fallback = self._plan_backend(population)
+        bounds = self._chunk_bounds(n) if population else [(0, n)]
+        chunk_span = self._chunk_span if population else (
+            lambda k, start, stop: nullcontext()
         )
-        span.annotate_timing(
-            backend=used,
-            fallback=fallback,
-            n_workers=self._last_effective_workers,
-        )
-        span.event(
-            "backend",
-            timing={
-                "requested": self.backend,
-                "used": used,
-                "fallback": fallback,
-                "n_workers": self._last_effective_workers,
-            },
-        )
+        pool = self.pool
+        results: list = []
+        pending: deque = deque()
+
+        def collect() -> None:
+            k, start, stop, future = pending.popleft()
+            with chunk_span(k, start, stop):
+                results.extend(future.result())
+                self._job_spans(range(first + start, first + stop), "pool")
+
+        with self.obs.span(name, kind="engine.batch", exact=exact) as span:
+            chunk = prepare(used)
+            self._last_effective_workers = 1
+            try:
+                for k, (start, stop) in enumerate(bounds):
+                    task, jobs = chunk(start, stop)
+                    if pool is not None:
+                        if jobs is not None:
+                            task = partial(_run_jobs, task, jobs)
+                        pending.append((k, start, stop, pool.submit(task)))
+                        if len(pending) >= self.n_workers:
+                            collect()
+                        continue
+                    with chunk_span(k, start, stop):
+                        if jobs is not None:
+                            results.extend(self.map_jobs(task, jobs))
+                        else:
+                            results.extend(task())
+                            self._job_spans(
+                                range(first + start, first + stop), "array"
+                            )
+                while pending:
+                    collect()
+            finally:
+                wait([future for *_, future in pending])
+            if pool is not None:
+                self._last_effective_workers = min(self.n_workers, len(bounds))
+            workers = self._last_effective_workers
+            self._batches.inc()
+            self._jobs.inc(n)
+            if fallback:
+                self._fallbacks.inc()
+            hits, misses = self.cache.hits - hits0, self.cache.misses - misses0
+            self.last_stats = BatchStats(n, workers, hits, misses, backend=used)
+            # Cache deltas are backend-invariant (calibration is acquired
+            # once per batch in this process): exact channel.  The
+            # backend actually used, and whether it was a fallback, may
+            # legitimately differ between a reference and a vectorized
+            # run of one workload: timing channel, on every batch.
+            span.annotate(cache_hits=hits, cache_misses=misses)
+            span.annotate_timing(
+                backend=used, fallback=fallback, n_workers=workers
+            )
+            span.event(
+                "backend",
+                timing={
+                    "requested": self.backend,
+                    "used": used,
+                    "fallback": fallback,
+                    "n_workers": workers,
+                },
+            )
+        return results
+
+    def _measurer(self, used: str, config, m_periods, calibration):
+        """The batch's one :class:`PopulationMeasurer`, or None (reference).
+
+        Every chunk of a vectorized batch shares it: its stimulus render
+        and generator are grown by :meth:`PopulationMeasurer.reserve` on
+        the dispatching thread and only read by chunk tasks.
+        """
+        if used != "vectorized":
+            return None
+        from .vectorized import PopulationMeasurer
+
+        return PopulationMeasurer(config, m_periods, calibration)
 
     # ------------------------------------------------------------------
     # Frequency sweeps
@@ -410,68 +517,56 @@ class BatchRunner:
             raise ConfigError("frequency list is empty")
         if start_index < 0:
             raise ConfigError(f"start_index must be >= 0, got {start_index}")
-        hits0, misses0 = self.cache.hits, self.cache.misses
-        used, fallback = self._plan_backend()
-        with self.obs.span(
-            "engine.sweep",
-            kind="engine.batch",
-            exact={"n_jobs": len(frequencies)},
-        ) as span:
-            if calibration is None:
+
+        def prepare(used: str):
+            acquired = calibration
+            if acquired is None:
                 fcal = (
                     calibration_fwave
                     if calibration_fwave is not None
                     else frequencies[0]
                 )
-                calibration = self.calibration_for(config, fcal, m_periods)
-            results: list[GainPhaseMeasurement] = []
-            if used == "vectorized":
-                from .vectorized import PopulationMeasurer, run_sweep_vectorized
+                acquired = self.calibration_for(config, fcal, m_periods)
+            measurer = self._measurer(used, config, m_periods, acquired)
 
-                measurer = PopulationMeasurer(config, m_periods, calibration)
-                for k, (start, stop) in enumerate(
-                    self._chunk_bounds(len(frequencies))
-                ):
-                    with self._chunk_span(k, start, stop):
-                        results.extend(
-                            run_sweep_vectorized(
-                                dut,
-                                config,
-                                frequencies[start:stop],
-                                m_periods,
-                                calibration,
-                                start_index=start_index + start,
-                                measurer=measurer,
-                            )
-                        )
-                        self._array_job_spans(
-                            range(start_index + start, start_index + stop)
-                        )
-                self._last_effective_workers = 1
-                self._finish_batch(
-                    span, len(frequencies), hits0, misses0, used, fallback
-                )
-                return results
-            for k, (start, stop) in enumerate(
-                self._chunk_bounds(len(frequencies))
-            ):
-                jobs = [
+            def chunk(start: int, stop: int):
+                points = frequencies[start:stop]
+                # Every point of a sweep measures the one device, a
+                # stateful object: chunks running concurrently on a pool
+                # each measure a private copy of it.
+                device = dut if self.pool is None else copy.deepcopy(dut)
+                if measurer is not None:
+                    from . import vectorized
+
+                    slot = stack_population(
+                        [device] * len(points), config.dut_settle_tolerance
+                    )
+                    measurer.reserve(slot, points)
+                    return partial(
+                        vectorized.run_sweep_vectorized,
+                        slot, points, measurer, start_index + start,
+                    ), None
+                return execute_sweep_point, [
                     SweepPointJob(
                         index=start_index + start + i,
                         fwave=f,
                         m_periods=m_periods,
-                        dut=dut,
+                        dut=device,
                         config=config,
-                        calibration=calibration,
+                        calibration=acquired,
                     )
-                    for i, f in enumerate(frequencies[start:stop])
+                    for i, f in enumerate(points)
                 ]
-                with self._chunk_span(k, start, stop):
-                    results.extend(self.map_jobs(execute_sweep_point, jobs))
-            self._finish_batch(
-                span, len(frequencies), hits0, misses0, used, fallback
-            )
-            return results
+
+            return chunk
+
+        return self._run_population(
+            "engine.sweep",
+            {"n_jobs": len(frequencies)},
+            len(frequencies),
+            prepare,
+            first=start_index,
+        )
 
     def run_bode(
         self,
@@ -523,76 +618,9 @@ class BatchRunner:
         after a separately measured nominal) keeps every device on the
         noise substream it would have had in the full batch.
         """
-        frequencies = tuple(float(f) for f in frequencies)
-        if not frequencies:
-            raise ConfigError("frequency list is empty")
-        duts = list(duts)
-        if not duts:
-            raise ConfigError("DUT list is empty")
-        if start_index < 0:
-            raise ConfigError(f"start_index must be >= 0, got {start_index}")
-        hits0, misses0 = self.cache.hits, self.cache.misses
-        used, fallback = self._plan_backend()
-        with self.obs.span(
-            "engine.fault_trials",
-            kind="engine.batch",
-            exact={"n_jobs": len(duts), "start_index": start_index},
-        ) as span:
-            fcal = (
-                calibration_fwave
-                if calibration_fwave is not None
-                else frequencies[0]
-            )
-            calibration = self.calibration_for(config, fcal, m_periods)
-            results: list[tuple[GainPhaseMeasurement, ...]] = []
-            if used == "vectorized":
-                from .vectorized import (
-                    PopulationMeasurer,
-                    run_fault_trials_vectorized,
-                )
-
-                measurer = PopulationMeasurer(config, m_periods, calibration)
-                for k, (start, stop) in enumerate(
-                    self._chunk_bounds(len(duts))
-                ):
-                    with self._chunk_span(k, start, stop):
-                        results.extend(
-                            run_fault_trials_vectorized(
-                                duts[start:stop],
-                                config,
-                                frequencies,
-                                m_periods,
-                                calibration,
-                                start_index=start_index + start,
-                                measurer=measurer,
-                            )
-                        )
-                        self._array_job_spans(
-                            range(start_index + start, start_index + stop)
-                        )
-                self._last_effective_workers = 1
-                self._finish_batch(
-                    span, len(duts), hits0, misses0, used, fallback
-                )
-                return results
-            for k, (start, stop) in enumerate(self._chunk_bounds(len(duts))):
-                jobs = [
-                    FaultTrialJob(
-                        index=start_index + start + i,
-                        dut=dut,
-                        frequencies=frequencies,
-                        m_periods=m_periods,
-                        config=config,
-                        calibration=calibration,
-                    )
-                    for i, dut in enumerate(duts[start:stop])
-                ]
-                with self._chunk_span(k, start, stop):
-                    results.extend(self.map_jobs(execute_fault_trial, jobs))
-            self._finish_batch(
-                span, len(duts), hits0, misses0, used, fallback
-            )
-            return results
+        return self._device_batch(
+            duts, config, frequencies, m_periods, calibration_fwave, start_index
+        )
 
     # ------------------------------------------------------------------
     # Pseudorandom-BIST campaigns
@@ -619,16 +647,36 @@ class BatchRunner:
         independent, so the whole campaign shares one cached
         acquisition; on the vectorized backend the measurements batch
         exactly like a fault campaign (with the ``"prbist"`` seed
-        stream) and compaction runs inline on the returned integers —
-        bit-identical signatures either way.
+        stream) and compaction runs in the chunk on the returned
+        integers — bit-identical signatures either way.
         """
-        from ..prbist.misr import MISRConfig, PrbistTrial, misr_compact, response_words
+        from ..prbist.misr import MISRConfig
 
         if not isinstance(misr, MISRConfig):
             raise ConfigError(
                 f"run_pseudorandom_trials: misr must be a MISRConfig, "
                 f"got {misr!r}"
             )
+        return self._device_batch(
+            duts, config, frequencies, m_periods, calibration_fwave,
+            start_index, misr=misr,
+        )
+
+    def _device_batch(
+        self,
+        duts,
+        config: AnalyzerConfig,
+        frequencies,
+        m_periods: int | None,
+        calibration_fwave: float | None,
+        start_index: int,
+        misr=None,
+    ) -> list:
+        """A fault campaign, or with a ``misr`` a pseudorandom campaign.
+
+        The two differ only in their seed stream, their reference job
+        and the MISR compaction of each device's measurements.
+        """
         frequencies = tuple(float(f) for f in frequencies)
         if not frequencies:
             raise ConfigError("frequency list is empty")
@@ -637,78 +685,59 @@ class BatchRunner:
             raise ConfigError("DUT list is empty")
         if start_index < 0:
             raise ConfigError(f"start_index must be >= 0, got {start_index}")
-        hits0, misses0 = self.cache.hits, self.cache.misses
-        used, fallback = self._plan_backend()
-        with self.obs.span(
-            "engine.pseudorandom_trials",
-            kind="engine.batch",
-            exact={"n_jobs": len(duts), "start_index": start_index},
-        ) as span:
+        if misr is None:
+            name, stream = "engine.fault_trials", "fault"
+            execute, make_job = execute_fault_trial, FaultTrialJob
+        else:
+            name, stream = "engine.pseudorandom_trials", "prbist"
+            execute = execute_pseudorandom_trial
+            make_job = partial(PseudorandomTrialJob, misr=misr)
+
+        def prepare(used: str):
             fcal = (
                 calibration_fwave
                 if calibration_fwave is not None
                 else frequencies[0]
             )
             calibration = self.calibration_for(config, fcal, m_periods)
-            results: list = []
-            if used == "vectorized":
-                from .vectorized import (
-                    PopulationMeasurer,
-                    run_fault_trials_vectorized,
-                )
+            measurer = self._measurer(used, config, m_periods, calibration)
 
-                measurer = PopulationMeasurer(config, m_periods, calibration)
-                for k, (start, stop) in enumerate(
-                    self._chunk_bounds(len(duts))
-                ):
-                    with self._chunk_span(k, start, stop):
-                        measured = run_fault_trials_vectorized(
-                            duts[start:stop],
-                            config,
-                            frequencies,
-                            m_periods,
-                            calibration,
-                            start_index=start_index + start,
-                            stream="prbist",
-                            measurer=measurer,
+            def chunk(start: int, stop: int):
+                if measurer is None:
+                    return execute, [
+                        make_job(
+                            index=start_index + start + i,
+                            dut=dut,
+                            frequencies=frequencies,
+                            m_periods=m_periods,
+                            config=config,
+                            calibration=calibration,
                         )
-                        for measurements in measured:
-                            words = response_words(measurements, misr.width)
-                            results.append(
-                                PrbistTrial(
-                                    words=words,
-                                    signature=misr_compact(words, misr),
-                                )
-                            )
-                        self._array_job_spans(
-                            range(start_index + start, start_index + stop)
-                        )
-                self._last_effective_workers = 1
-                self._finish_batch(
-                    span, len(duts), hits0, misses0, used, fallback
+                        for i, dut in enumerate(duts[start:stop])
+                    ]
+                from . import vectorized
+
+                slot = stack_population(
+                    duts[start:stop], config.dut_settle_tolerance
                 )
-                return results
-            for k, (start, stop) in enumerate(self._chunk_bounds(len(duts))):
-                jobs = [
-                    PseudorandomTrialJob(
-                        index=start_index + start + i,
-                        dut=dut,
-                        frequencies=frequencies,
-                        m_periods=m_periods,
-                        config=config,
-                        calibration=calibration,
-                        misr=misr,
-                    )
-                    for i, dut in enumerate(duts[start:stop])
-                ]
-                with self._chunk_span(k, start, stop):
-                    results.extend(
-                        self.map_jobs(execute_pseudorandom_trial, jobs)
-                    )
-            self._finish_batch(
-                span, len(duts), hits0, misses0, used, fallback
-            )
-            return results
+                measurer.reserve(slot, frequencies)
+                task = partial(
+                    vectorized.run_fault_trials_vectorized,
+                    slot, frequencies, measurer, start_index + start, stream,
+                )
+                if misr is not None:
+                    task = partial(_misr_trials, misr, task)
+                return task, None
+
+            return chunk
+
+        return self._run_population(
+            name,
+            {"n_jobs": len(duts), "start_index": start_index},
+            len(duts),
+            prepare,
+            first=start_index,
+        )
 
     # ------------------------------------------------------------------
     # Harmonic distortion
@@ -733,27 +762,24 @@ class BatchRunner:
         fwaves = [float(f) for f in fwaves]
         if not fwaves:
             raise ConfigError("stimulus frequency list is empty")
-        hits0, misses0 = self.cache.hits, self.cache.misses
-        used, fallback = self._plan_backend(vectorizable=False)
-        with self.obs.span(
+        jobs = [
+            DistortionJob(
+                index=i,
+                fwave=f,
+                harmonics=tuple(harmonics),
+                m_periods=m_periods,
+                dut=dut,
+                config=config,
+            )
+            for i, f in enumerate(fwaves)
+        ]
+        return self._run_population(
             "engine.distortion",
-            kind="engine.batch",
-            exact={"n_jobs": len(fwaves)},
-        ) as span:
-            jobs = [
-                DistortionJob(
-                    index=i,
-                    fwave=f,
-                    harmonics=tuple(harmonics),
-                    m_periods=m_periods,
-                    dut=dut,
-                    config=config,
-                )
-                for i, f in enumerate(fwaves)
-            ]
-            reports = self.map_jobs(execute_distortion, jobs)
-            self._finish_batch(span, len(jobs), hits0, misses0, used, fallback)
-            return reports
+            {"n_jobs": len(jobs)},
+            len(jobs),
+            lambda used: lambda start, stop: (execute_distortion, jobs),
+            population=False,
+        )
 
     # ------------------------------------------------------------------
     # Monte-Carlo yield analysis
@@ -772,13 +798,15 @@ class BatchRunner:
 
         Component values are drawn serially from one seeded RNG in
         device order (so the lot is a function of ``seed`` alone —
-        identical across backends and across chunk boundaries), then
-        each device trial is dispatched as an independent job; the
-        vectorized backend draws each chunk as one component array and
-        measures it in stacked form, with no per-device DUT objects.  When
+        identical across backends, chunk boundaries and executors): each
+        chunk's components are drawn on the dispatching thread, and only
+        its measurement is dispatched.  The reference backend measures
+        each device trial as an independent job; the vectorized backend
+        draws each chunk as one component array and measures it in
+        stacked form, with no per-device DUT objects.  When
         ``chunk_size`` is set the lot streams through the engine one
         chunk of devices at a time, so a million-device lot never holds
-        more than one chunk's devices and responses in memory.  The
+        more than a few chunks' devices and responses in memory.  The
         program's one-off calibration is acquired once via the cache
         instead of once per device.
         """
@@ -788,67 +816,46 @@ class BatchRunner:
             raise ConfigError(
                 f"component_sigma must be finite and >= 0, got {component_sigma!r}"
             )
-        hits0, misses0 = self.cache.hits, self.cache.misses
-        used, fallback = self._plan_backend()
-        with self.obs.span(
-            "engine.trials",
-            kind="engine.batch",
-            exact={"n_jobs": n_devices},
-        ) as span:
+
+        def prepare(used: str):
             calibration = self.calibration_for(
                 config, program.frequencies[0], program.m_periods
             )
-            rng = np.random.default_rng(seed)
-            trials: list = []
-            if used == "vectorized":
-                from .vectorized import PopulationMeasurer, run_trials_vectorized
-
-                measurer = PopulationMeasurer(
-                    config, program.m_periods, calibration
-                )
-                for k, (start, stop) in enumerate(
-                    self._chunk_bounds(n_devices)
-                ):
-                    population = lot_population(
-                        nominal.draw_lot(component_sigma, rng, stop - start),
-                        config.dut_settle_tolerance,
-                        start=start,
-                    )
-                    with self._chunk_span(k, start, stop):
-                        trials.extend(
-                            run_trials_vectorized(
-                                population,
-                                mask,
-                                program,
-                                config=config,
-                                calibration=calibration,
-                                start_index=start,
-                                measurer=measurer,
-                            )
-                        )
-                        self._array_job_spans(range(start, stop))
-                self._last_effective_workers = 1
-                self._finish_batch(
-                    span, n_devices, hits0, misses0, used, fallback
-                )
-                return trials
-            for k, (start, stop) in enumerate(self._chunk_bounds(n_devices)):
-                jobs = [
-                    DeviceTrialJob(
-                        index=i,
-                        components=nominal.with_tolerance(
-                            component_sigma, rng
-                        ),
-                        mask=mask,
-                        program=program,
-                        config=config,
-                        calibration=calibration,
-                    )
-                    for i in range(start, stop)
-                ]
-                with self._chunk_span(k, start, stop):
-                    trials.extend(self.map_jobs(execute_device_trial, jobs))
-            self._finish_batch(
-                span, n_devices, hits0, misses0, used, fallback
+            measurer = self._measurer(
+                used, config, program.m_periods, calibration
             )
-            return trials
+            rng = np.random.default_rng(seed)
+
+            def chunk(start: int, stop: int):
+                if measurer is None:
+                    return execute_device_trial, [
+                        DeviceTrialJob(
+                            index=i,
+                            components=nominal.with_tolerance(
+                                component_sigma, rng
+                            ),
+                            mask=mask,
+                            program=program,
+                            config=config,
+                            calibration=calibration,
+                        )
+                        for i in range(start, stop)
+                    ]
+                from . import vectorized
+
+                population = lot_population(
+                    nominal.draw_lot(component_sigma, rng, stop - start),
+                    config.dut_settle_tolerance,
+                    start=start,
+                )
+                measurer.reserve(population, program.frequencies)
+                return partial(
+                    vectorized.run_trials_vectorized,
+                    population, mask, program, measurer, start,
+                ), None
+
+            return chunk
+
+        return self._run_population(
+            "engine.trials", {"n_jobs": n_devices}, n_devices, prepare
+        )

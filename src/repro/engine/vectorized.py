@@ -102,7 +102,7 @@ from ..core import compensation
 from ..core.calibration import CalibrationResult
 from ..core.config import AnalyzerConfig
 from ..core.measurement import GainPhaseMeasurement, StimulusMeasurement
-from ..dut.statespace import Population, stack_population, zoh_transfer
+from ..dut.statespace import Population, zoh_transfer
 from ..errors import ConfigError
 from ..evaluator.counters import SignatureCounter
 from ..evaluator.dsp import SignatureDSP, correlation_gain, phase_offset
@@ -387,8 +387,8 @@ class PopulationMeasurer:
     # ------------------------------------------------------------------
     # Shared stimulus
     # ------------------------------------------------------------------
-    def _template_generator(self) -> SinewaveGenerator:
-        """The campaign's generator die (cached; noise-free template).
+    def _build_generator(self) -> SinewaveGenerator:
+        """The campaign's generator die (noise-free template).
 
         Built exactly as the reference analyzer builds one — same
         mismatched die (a fresh :class:`~repro.sc.mismatch.MismatchModel`
@@ -396,60 +396,54 @@ class PopulationMeasurer:
         same amplitude programming — but with no RNG: the noisy path
         draws each job's noise itself, in the reference order.
         """
-        if self._generator is None:
-            config = self.config
-            template = config.mismatch
-            mismatch = (
-                MismatchModel(sigma_unit=template.sigma_unit, seed=template.seed)
-                if template is not None
-                else None
-            )
-            generator = SinewaveGenerator(
-                ClockTree.from_fwave(1000.0),
-                opamp1=config.generator_opamp,
-                opamp2=config.generator_opamp,
-                mismatch=mismatch,
-                rng=None,
-            )
-            generator.set_amplitude(config.stimulus_amplitude)
-            self._generator = generator
-        return self._generator
+        config = self.config
+        template = config.mismatch
+        mismatch = (
+            MismatchModel(sigma_unit=template.sigma_unit, seed=template.seed)
+            if template is not None
+            else None
+        )
+        generator = SinewaveGenerator(
+            ClockTree.from_fwave(1000.0),
+            opamp1=config.generator_opamp,
+            opamp2=config.generator_opamp,
+            mismatch=mismatch,
+            rng=None,
+        )
+        generator.set_amplitude(config.stimulus_amplitude)
+        return generator
 
-    def _stimulus_samples(self, n_periods: int) -> np.ndarray:
-        """The held stimulus for ``n_periods`` tone periods (shared).
+    def reserve(self, population: Population, fwaves) -> None:
+        """Prepare the shared stimulus for a slot set: call before measuring.
 
         The generator's sample values depend only on the period count —
         not on the master clock (every internal rate is a fixed ratio of
         it) and, for noise-free generators, not on the job — and a
         longer render extends a shorter one sample-for-sample (the
-        recurrences are causal).  One cached render therefore serves
-        every device, lead-in and sweep frequency as a prefix.  Noisy
-        generators never take this path (see :meth:`_noisy_held`).
-        """
-        needed = n_periods * OVERSAMPLING_RATIO
-        if len(self._stimulus) < needed:
-            held = self._template_generator().render_held(
-                n_periods=n_periods,
-                settle_periods=self.config.generator_settle_periods,
-            )
-            self._stimulus = held.samples
-        return self._stimulus[:needed]
+        recurrences are causal).  One cached render of the worst
+        lead-in of ``population`` at ``fwaves`` therefore serves every
+        device, lead-in and frequency of its slots as a prefix.  A noisy
+        generator renders per device from the template die built here
+        (see :meth:`_noisy_held`).
 
-    def reserve(self, population: Population, fwaves) -> None:
-        """Pre-render the stimulus for a whole campaign's worst lead-in.
-
-        A multi-slot campaign (one slot per probe frequency) otherwise
-        re-renders whenever a later slot needs a longer lead; rendering
-        the worst case once up front makes every slot a prefix hit.
+        This is the only method that changes the measurer: the render
+        only ever grows, so :meth:`measure` calls running concurrently
+        on one measurer (the chunks of one batch on a thread pool) only
+        read it, provided each slot was reserved before it was handed
+        out.
         """
         fwaves = [float(f) for f in fwaves]
+        if self._generator is None:
+            self._generator = self._build_generator()
         if not fwaves or self._noisy_generator:
-            # A noisy generator renders per device: no shared prefix.
             return
         worst_seconds = float(population.settle.max()) if len(population) else 0.0
-        self._stimulus_samples(
-            int(math.ceil(worst_seconds * max(fwaves))) + self.m_periods
-        )
+        n_periods = int(math.ceil(worst_seconds * max(fwaves))) + self.m_periods
+        if len(self._stimulus) < n_periods * OVERSAMPLING_RATIO:
+            self._stimulus = self._generator.render_held(
+                n_periods=n_periods,
+                settle_periods=self.config.generator_settle_periods,
+            ).samples
 
     # ------------------------------------------------------------------
     # One batched slot
@@ -629,7 +623,12 @@ class PopulationMeasurer:
         if self._noisy_generator:
             held_input = self._noisy_held(rngs, leads)
         else:
-            stimulus = self._stimulus_samples(max(leads) + m)
+            stimulus = self._stimulus
+            if len(stimulus) < (max(leads) + m) * n:
+                raise ConfigError(
+                    "population slot needs a longer stimulus than was "
+                    "reserved; call PopulationMeasurer.reserve first"
+                )
 
             def held_input(i: int) -> np.ndarray:
                 return stimulus[: (leads[i] + m) * n]
@@ -661,7 +660,11 @@ class PopulationMeasurer:
         """
         m = self.m_periods
         settle_head = self.config.generator_settle_periods
-        generator = self._template_generator()
+        generator = self._generator
+        if generator is None:
+            raise ConfigError(
+                "population slot measured before PopulationMeasurer.reserve"
+            )
         biquad = generator.biquad
         steps = [(settle_head + lead + m) * GENERATOR_STEPS for lead in leads]
         charges = generator.control.charge_sequence(max(steps)).tolist()
@@ -833,57 +836,42 @@ class PopulationMeasurer:
 
 
 def run_sweep_vectorized(
-    dut,
-    config: AnalyzerConfig,
+    population: Population,
     frequencies,
-    m_periods: int | None,
-    calibration: CalibrationResult,
+    measurer: PopulationMeasurer,
     start_index: int = 0,
-    measurer: PopulationMeasurer | None = None,
 ) -> list[GainPhaseMeasurement]:
-    """A frequency sweep as one population slot (points are the axis).
+    """One chunk of a frequency sweep as one slot (points are the axis).
 
-    ``start_index`` offsets the per-point seed indices and ``measurer``
-    carries a shared :class:`PopulationMeasurer` across calls — together
-    they let the runner shard one logical sweep into device-axis chunks
-    whose jobs stay on the substreams the unsharded sweep would use.
+    ``population`` stacks the swept device once per point and
+    ``start_index`` is the seed index of point 0, so a chunk keeps every
+    point on the substream the unchunked sweep would use.
     """
-    if measurer is None:
-        measurer = PopulationMeasurer(config, m_periods, calibration)
     frequencies = list(frequencies)
-    population = stack_population(
-        [dut] * len(frequencies), config.dut_settle_tolerance
-    )
     rngs = [
-        _job_rng(config, "sweep", start_index + i) for i in range(len(frequencies))
+        _job_rng(measurer.config, "sweep", start_index + i)
+        for i in range(len(frequencies))
     ]
     return measurer.box(measurer.measure(population, frequencies, rngs))
 
 
 def run_fault_trials_vectorized(
-    duts,
-    config: AnalyzerConfig,
+    population: Population,
     frequencies,
-    m_periods: int | None,
-    calibration: CalibrationResult,
+    measurer: PopulationMeasurer,
     start_index: int = 0,
     stream: str = "fault",
-    measurer: PopulationMeasurer | None = None,
 ) -> list[tuple[GainPhaseMeasurement, ...]]:
-    """A fault campaign batched per probe frequency (devices are the axis).
+    """One chunk of a fault campaign, one slot per probe frequency
+    (devices are the axis).
 
     ``stream`` names the per-job seed substream; pseudorandom-BIST
     campaigns pass ``"prbist"`` so each device consumes exactly the
-    substream its reference-backend job would.  ``start_index`` and a
-    shared ``measurer`` support chunked execution exactly as in
-    :func:`run_sweep_vectorized`.
+    substream its reference-backend job would.  ``start_index`` is the
+    seed index of row 0.
     """
-    if measurer is None:
-        measurer = PopulationMeasurer(config, m_periods, calibration)
-    population = stack_population(duts, config.dut_settle_tolerance)
     n = len(population)
-    measurer.reserve(population, frequencies)
-    rngs = [_job_rng(config, stream, start_index + i) for i in range(n)]
+    rngs = [_job_rng(measurer.config, stream, start_index + i) for i in range(n)]
     per_frequency = [
         measurer.box(measurer.measure(population, [f] * n, rngs))
         for f in frequencies
@@ -895,17 +883,15 @@ def run_trials_vectorized(
     population: Population,
     mask,
     program,
-    config: AnalyzerConfig,
-    calibration: CalibrationResult,
+    measurer: PopulationMeasurer,
     start_index: int = 0,
-    measurer: PopulationMeasurer | None = None,
 ) -> list:
-    """A Monte-Carlo lot batched per program frequency.
+    """One chunk of a Monte-Carlo lot, one slot per program frequency.
 
-    ``population`` is one chunk of the lot in stacked form — the
-    dispatcher draws its component values exactly as the reference path
-    draws them (one seeded RNG, device order), which keeps the
-    population identical across backends *and* across chunk boundaries
+    ``population`` is the chunk in stacked form — the dispatcher draws
+    its component values exactly as the reference path draws them (one
+    seeded RNG, device order), which keeps the population identical
+    across backends *and* across chunk boundaries
     (:func:`repro.dut.active_rc.lot_population`); the measurements then
     run as one slot per program frequency, and the go/no-go verdicts
     come from the slots' gain arrays through the same tri-state
@@ -916,10 +902,9 @@ def run_trials_vectorized(
     from ..bist.program import lot_verdicts
 
     n = len(population)
-    job_rngs = [_job_rng(config, "trial", start_index + i) for i in range(n)]
-    if measurer is None:
-        measurer = PopulationMeasurer(config, program.m_periods, calibration)
-    measurer.reserve(population, program.frequencies)
+    job_rngs = [
+        _job_rng(measurer.config, "trial", start_index + i) for i in range(n)
+    ]
     truly_good = _truly_good(population, mask, program.frequencies)
     gains = [
         measurer.measure(population, [f] * n, job_rngs).gain

@@ -35,7 +35,8 @@ has the running-floor solution (provable by induction while
     ``B[n] = sum_{i<n} b[i] = floor(y0 + T[n-1]) + 1``,  ``T[n] = sum_{i<=n-1} t[i]``
 
 so the whole bitstream is two :func:`numpy.cumsum`/:func:`numpy.floor`
-passes instead of a Python per-sample loop — the analyzer's dominant
+passes instead of a Python per-sample loop (the final state is the
+sequential ``cumsum`` of the chosen increments, the loop's own sum) — the analyzer's dominant
 cost (~70 % of a gain/phase point).  :meth:`FirstOrderSigmaDelta.modulate`
 takes this path automatically for the ideal modulator with in-range
 input and initial state; an overloaded input or an out-of-range initial
@@ -392,9 +393,14 @@ class FirstOrderSigmaDelta:
         ones[0] = floors[0] + 1.0  # b[0] = floor(y0) + 1
         np.subtract(floors[1:], floors[:-1], out=ones[1:])
         bits = (2.0 * ones - 1.0).astype(np.int8)
-        total_ones = floors[-1] + 1.0  # B[N] = floor(y0 + T[N-1]) + 1
-        u_final = (y0 + partial[-1] - total_ones) * half_span
-        return bits, float(u_final)
+        # The final state is the sample loop's own sum, in its order:
+        # u0, then each step's g * w - (+/- g vref) — exact feedback, so
+        # the sequential cumsum rounds exactly as the loop does.
+        steps = np.empty(len(w) + 1)
+        steps[0] = u0
+        np.multiply(self.gain, w, out=steps[1:])
+        steps[1:] -= bits * (self.gain * self.vref)
+        return bits, float(np.cumsum(steps)[-1])
 
 
 class SecondOrderSigmaDelta:

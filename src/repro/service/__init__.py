@@ -5,15 +5,16 @@ facade into a long-running analyzer endpoint:
 
 * :class:`AnalyzerService` — an asyncio job scheduler: priority queue,
   bounded concurrency, in-flight content dedupe, per-step streaming,
-  and fault-tolerant lot sharding over a worker pool
-  (:class:`ShardingRunner` / :class:`WorkerPool`).
+  and fault-tolerant lot sharding: every job's population chunks —
+  sweeps, fault and pseudorandom campaigns, yield lots — run on the
+  service's one retrying :class:`WorkerPool`.
 * :class:`AnalyzerServer` / :class:`ServiceClient` — a newline-delimited
   canonical-JSON protocol over a localhost socket
   (:mod:`repro.service.wire`), and its blocking reference client.
-* The determinism contract carries through unbroken: shard slices are
-  the engine's own chunk boundaries, seed substreams are indexed by
-  absolute lot position, and a worker death replays its shard
-  bit-identically — a streamed result reassembles byte-identical to a
+* The determinism contract carries through unbroken: shards are the
+  engine's own chunks, cut by its one dispatcher, seed substreams are
+  indexed by absolute lot position, and a worker death replays its
+  shard bit-identically — a streamed result reassembles byte-identical to a
   synchronous :meth:`~repro.api.session.Session.run_scenario`.
 
 This package and :mod:`repro.engine` are the only modules allowed to
@@ -26,14 +27,7 @@ from .jobs import JOB_STATES, TERMINAL_STATES, Job, job_id_for
 from .queue import JobQueue
 from .server import AnalyzerServer, serve
 from .service import AnalyzerService, policy_for_spec
-from .sharding import (
-    Shard,
-    ShardingRunner,
-    WorkerDied,
-    WorkerPool,
-    plan_shards,
-    worker_runner_factory,
-)
+from .sharding import WorkerDied, WorkerPool
 from .wire import (
     FRAME_FORMAT,
     FRAME_TYPES,
@@ -73,8 +67,6 @@ __all__ = [
     "REQUEST_VERSION",
     "Request",
     "ServiceClient",
-    "Shard",
-    "ShardingRunner",
     "TERMINAL_STATES",
     "WorkerDied",
     "WorkerPool",
@@ -86,7 +78,6 @@ __all__ = [
     "job_id_for",
     "parse_frame",
     "parse_request",
-    "plan_shards",
     "policy_for_spec",
     "result_frame",
     "result_from_frames",
@@ -97,5 +88,4 @@ __all__ = [
     "status_request",
     "step_frame",
     "submit_request",
-    "worker_runner_factory",
 ]

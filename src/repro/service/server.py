@@ -90,12 +90,14 @@ class AnalyzerServer:
         return self
 
     async def aclose(self) -> None:
-        """Stop accepting connections and wait for started jobs."""
+        """Stop accepting connections, wait for started jobs, and stop
+        the service's worker pool."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
         await self.service.drain()
+        self.service.close()
 
     async def __aenter__(self) -> "AnalyzerServer":
         return await self.start()

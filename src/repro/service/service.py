@@ -6,23 +6,24 @@
 a :class:`~repro.service.queue.JobQueue` (priorities, bounded
 concurrency, in-flight content dedupe) and executes each job through the
 *same* path a synchronous caller uses: ``compile_scenario`` →
-:class:`~repro.api.session.Session` methods — just on a
-:class:`~repro.service.sharding.ShardingRunner` whose population batches
-fan out over a per-job :class:`~repro.service.sharding.WorkerPool`.
-Because per-job seed substreams are indexed by absolute lot position,
-the service's answer is byte-identical to
-:meth:`~repro.api.session.Session.run_scenario` — including after a
-worker death and retry.
+:class:`~repro.api.session.Session` methods — on a runner built by the
+job's own policy, whose population chunks run on the service's one
+:class:`~repro.service.sharding.WorkerPool`.  Because per-job seed
+substreams are indexed by absolute lot position, the service's answer
+is byte-identical to :meth:`~repro.api.session.Session.run_scenario` —
+including after a worker death and retry.
 
 One event loop, one thread: all service state (queue, jobs, subscriber
 lists) is touched only from the loop thread, so the scheduler needs no
-locks.  Blocking work — step execution, worker-pool teardown — runs in
-the loop's default executor; worker threads communicate exclusively
-through return values.
+locks.  Blocking work — step execution — runs in the loop's default
+executor, which dispatches the step's chunks to the worker pool; worker
+threads communicate exclusively through return values.
 
 Every job shares the service-wide
 :class:`~repro.engine.cache.CalibrationCache` (a calibration acquired
-for job 1 is a hit for job 2 at the same configuration) and one
+for job 1 is a hit for job 2 at the same configuration), the worker
+pool (``default_workers()`` threads, built once and closed by
+:meth:`AnalyzerService.close`) and one
 :class:`~repro.obs.MetricRegistry` holding the ``service.*`` counters:
 ``service.jobs.submitted`` / ``deduped`` / ``completed`` / ``failed`` /
 ``cancelled``, ``service.shards``, ``service.worker_deaths`` and
@@ -37,6 +38,7 @@ from typing import TYPE_CHECKING
 
 from ..api.policy import ExecutionPolicy, Recorder
 from ..api.session import Session
+from ..engine.runner import default_workers
 from ..errors import ReproError
 from ..obs.metrics import MetricRegistry
 from ..obs.recorder import default_recorder
@@ -44,7 +46,7 @@ from ..scenarios.compiler import CompiledStep, compile_scenario
 from ..scenarios.result import ScenarioResult, StepResult
 from .jobs import Job
 from .queue import JobQueue
-from .sharding import ShardingRunner, WorkerPool, worker_runner_factory
+from .sharding import WorkerPool
 from .wire import error_frame, result_frame, state_frame, step_frame
 
 if TYPE_CHECKING:
@@ -82,14 +84,16 @@ class AnalyzerService:
     metrics:
         Service-wide registry; a private one is created when omitted.
     chaos_kill_shard:
-        Deterministic fault injection for the *next started job*: its
-        ``k``-th shard task raises
+        Deterministic fault injection: the ``k``-th chunk task the
+        service's worker pool starts raises
         :class:`~repro.service.sharding.WorkerDied`, killing a worker
         mid-job.  One-shot — the harness knob behind the retry
-        bit-identity tests; see :class:`ShardingRunner`.
+        bit-identity tests; see :class:`~repro.service.sharding.WorkerPool`.
 
     Must be constructed and driven from a running event loop (its jobs
-    carry :class:`asyncio.Event` completion latches).
+    carry :class:`asyncio.Event` completion latches).  :meth:`close`
+    stops the worker pool (the server does so in
+    :meth:`~repro.service.server.AnalyzerServer.aclose`).
     """
 
     def __init__(
@@ -109,8 +113,12 @@ class AnalyzerService:
         self.cache = base.build_cache(obs=self.obs, metrics=self.metrics)
         self.queue = JobQueue(max_running=max_running)
         self.obs.attach_metrics(self.metrics)
+        self.pool = WorkerPool(
+            default_workers(),
+            metrics=self.metrics,
+            chaos_kill_shard=chaos_kill_shard,
+        )
         self._sequence = 0
-        self._chaos_kill_shard = chaos_kill_shard
         self._tasks: set[asyncio.Task] = set()
         self._subscribers: dict[str, list[asyncio.Queue]] = {}
         self._submitted = self.metrics.counter("service.jobs.submitted")
@@ -213,33 +221,20 @@ class AnalyzerService:
             self._tasks.add(task)
             task.add_done_callback(self._tasks.discard)
 
-    def _take_chaos(self) -> int | None:
-        armed = self._chaos_kill_shard
-        self._chaos_kill_shard = None
-        return armed
-
     async def _run_job(self, job: Job) -> None:
         """Execute one claimed job (already ``running``) to a terminal state."""
         loop = asyncio.get_running_loop()
         self._emit(job, state_frame(job))
-        chaos = self._take_chaos()
-        pool: WorkerPool | None = None
         try:
             compiled = compile_scenario(job.spec)
-            pool = WorkerPool(
-                job.policy.n_workers,
-                worker_runner_factory(job.policy, self.cache, self.metrics),
-                metrics=self.metrics,
+            session = Session(
+                runner=job.policy.build_runner(
+                    cache=self.cache,
+                    obs=self.obs,
+                    metrics=self.metrics,
+                    pool=self.pool,
+                )
             )
-            runner = ShardingRunner(
-                job.policy,
-                pool=pool,
-                cache=self.cache,
-                obs=self.obs,
-                metrics=self.metrics,
-                chaos_kill_shard=chaos,
-            )
-            session = Session(runner=runner)
             steps: list[StepResult] = []
             for index, compiled_step in enumerate(compiled.steps):
                 if job.cancel_requested:
@@ -280,8 +275,6 @@ class AnalyzerService:
             self._emit(job, state_frame(job))
             self._emit(job, error_frame(job.error, job_id=job.job_id))
         finally:
-            if pool is not None:
-                await loop.run_in_executor(None, pool.close)
             self.queue.finish(job)
             self._finish_stream(job)
             self._pump()
@@ -327,6 +320,10 @@ class AnalyzerService:
         """Wait until every started job reaches a terminal state."""
         while self._tasks:
             await asyncio.gather(*list(self._tasks), return_exceptions=True)
+
+    def close(self) -> None:
+        """Stop the worker pool (idempotent); later jobs fail to dispatch."""
+        self.pool.close()
 
     async def run_scenario(
         self,

@@ -1,188 +1,87 @@
-"""Lot sharding: bit-identical fan-out with fault-tolerant workers.
+"""The service's worker pool: retrying threads that run engine chunks.
 
 The engine already made sharding *safe*: per-job seed substreams are
 indexed by each job's **absolute** lot position
 (:mod:`repro.engine.seeding`), so a population batch produces the same
-numbers no matter where it is split or who executes the pieces.  This
-module turns that property into a service-side scheduler:
+numbers no matter where it is split or who executes the pieces.  The
+engine's one dispatcher
+(:meth:`~repro.engine.runner.BatchRunner._run_population`) cuts every
+batch into chunks; a runner built with ``pool=`` hands each chunk to a
+pool as a pure task, keeps at most ``n_workers`` of them in flight and
+reassembles the results in job order.
 
-* :func:`plan_shards` splits a batch of ``n`` jobs into ``chunk_size``
-  shards — the *same* boundaries the engine's own chunk loop would use,
-  so a sharded run slices the lot exactly like a synchronous chunked
-  run.
-* :class:`WorkerPool` executes shard tasks on worker threads, each
-  owning a serial :class:`~repro.engine.runner.BatchRunner` on the
-  service's shared :class:`~repro.engine.cache.CalibrationCache`.  A
-  worker that dies (:class:`WorkerDied`) takes nothing with it: the
-  pool re-enqueues the dead worker's shard, spawns a replacement
-  thread, and the retry re-derives the same absolute-index substreams —
-  the re-run is bit-identical.  Deaths and retries are counted in the
-  pool's :class:`~repro.obs.MetricRegistry`
-  (``service.worker_deaths`` / ``service.retries``).
-* :class:`ShardingRunner` is a :class:`~repro.engine.runner.BatchRunner`
-  whose population workloads (sweeps, fault campaigns, pseudorandom
-  campaigns) dispatch their shard slices to a pool instead of looping
-  inline.  Because it *is* a runner, a
-  :class:`~repro.api.session.Session` adopts it unchanged and every
-  workload above it — scenario compilation, channel lowering, baseline
-  recording — is reused verbatim; byte-identity to the synchronous path
-  follows from identical slices, identical calibration (one shared
-  cache key) and identical absolute ``start_index`` offsets.
-
-Monte-Carlo yield lots are the one population that cannot shard at this
-level: their component draws come *serially* from one seeded RNG in
-device order (see :meth:`~repro.engine.runner.BatchRunner.run_trials`),
-so they run on the inherited engine path — chunked, but in-process.
-Distortion batches (a handful of frequencies, never chunked) do too.
+:class:`WorkerPool` is that pool for the service: one per
+:class:`~repro.service.service.AnalyzerService`, shared by all its
+jobs.  A worker that dies (:class:`WorkerDied`) takes nothing with it:
+the pool re-enqueues the dead worker's task, spawns a replacement
+thread, and the retry re-derives the same absolute-index substreams —
+the re-run is bit-identical.  Any other exception fails that task (and
+so its job), never the pool.  Tasks, deaths and retries are counted in
+the pool's :class:`~repro.obs.MetricRegistry` (``service.shards``,
+``service.worker_deaths``, ``service.retries``).
 """
 
 from __future__ import annotations
 
 import queue
 import threading
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from concurrent.futures import Future
+from typing import Any, Callable
 
-from ..engine.runner import BatchRunner
 from ..errors import ConfigError, ServiceError
 from ..obs.metrics import MetricRegistry
 
-if TYPE_CHECKING:
-    from ..api.policy import ExecutionPolicy
-    from ..core.calibration import CalibrationResult
-    from ..core.config import AnalyzerConfig
-    from ..core.measurement import GainPhaseMeasurement
-    from ..dut.base import DUT
-    from ..engine.cache import CalibrationCache
-
-#: A shard task: runs on a worker thread against that worker's runner.
-ShardTask = Callable[[BatchRunner], Any]
+#: A chunk task: reads its chunk's inputs, returns its results.
+ShardTask = Callable[[], Any]
 
 
 class WorkerDied(ServiceError):
-    """A worker thread died mid-shard (injected or real).
+    """A worker thread died mid-task (injected or real).
 
-    Raising this inside a shard task makes the executing worker thread
-    genuinely exit; the pool detects the death, re-enqueues the shard
+    Raising this inside a task makes the executing worker thread
+    genuinely exit; the pool detects the death, re-enqueues the task
     and spawns a replacement thread.
     """
-
-
-@dataclass(frozen=True)
-class Shard:
-    """One contiguous slice of a population batch."""
-
-    index: int
-    start: int
-    stop: int
-
-    def __post_init__(self) -> None:
-        if self.index < 0 or self.start < 0 or self.stop <= self.start:
-            raise ConfigError(
-                f"shard: need index >= 0 and 0 <= start < stop, got "
-                f"index={self.index}, start={self.start}, stop={self.stop}"
-            )
-
-    @property
-    def n_jobs(self) -> int:
-        return self.stop - self.start
-
-
-def plan_shards(n: int, chunk_size: int | None) -> list[Shard]:
-    """Split ``n`` jobs into ``chunk_size`` shards.
-
-    Mirrors the engine's own chunk boundaries
-    (:meth:`~repro.engine.runner.BatchRunner._chunk_bounds`) exactly, so
-    a sharded dispatch slices the lot the same way a synchronous chunked
-    run does — which is what makes the two byte-identical, not merely
-    equivalent.
-    """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ConfigError(f"plan_shards: n must be an integer >= 1, got {n!r}")
-    if chunk_size is not None and (
-        not isinstance(chunk_size, int)
-        or isinstance(chunk_size, bool)
-        or chunk_size < 1
-    ):
-        raise ConfigError(
-            f"plan_shards: chunk_size must be an integer >= 1 or None, "
-            f"got {chunk_size!r}"
-        )
-    if chunk_size is None or chunk_size >= n:
-        return [Shard(index=0, start=0, stop=n)]
-    return [
-        Shard(index=k, start=start, stop=min(start + chunk_size, n))
-        for k, start in enumerate(range(0, n, chunk_size))
-    ]
-
-
-class _ResultCell:
-    """One shard's completion slot: survives worker death and retry."""
-
-    def __init__(self) -> None:
-        self._event = threading.Event()
-        self._value: Any = None
-        self._error: BaseException | None = None
-
-    def fulfil(self, value: Any) -> None:
-        self._value = value
-        self._event.set()
-
-    def fail(self, error: BaseException) -> None:
-        self._error = error
-        self._event.set()
-
-    @property
-    def pending(self) -> bool:
-        return not self._event.is_set()
-
-    def wait(self) -> Any:
-        self._event.wait()
-        if self._error is not None:
-            raise self._error
-        return self._value
 
 
 #: Sentinel telling a worker thread to exit cleanly.
 _STOP: Any = object()
 
-_WorkItem = tuple[ShardTask, "_ResultCell", int]
-
 
 class WorkerPool:
-    """Thread workers, each owning a serial runner on one shared cache.
+    """Retrying worker threads that run chunk tasks, results as futures.
 
     Parameters
     ----------
     n_workers:
         Worker threads.  Threads (not processes) because the vectorized
         backend releases the GIL inside its NumPy kernels and — more
-        importantly — because every worker must share *one*
-        :class:`~repro.engine.cache.CalibrationCache` instance so a
-        calibration acquired for shard 0 is a hit for shard 1.
-    runner_factory:
-        Builds each worker's private serial
-        :class:`~repro.engine.runner.BatchRunner` (typically
-        ``policy.replace(n_workers=1, chunk_size=None).build_runner(
-        cache=shared_cache)``).
+        importantly — because every task must share its batch's *one*
+        calibration and :class:`~repro.engine.vectorized.PopulationMeasurer`.
     metrics:
-        Registry for ``service.worker_deaths`` / ``service.retries``; a
-        private one is created when omitted.
+        Registry for ``service.shards`` / ``service.worker_deaths`` /
+        ``service.retries``; a private one is created when omitted.
     max_retries:
-        How many times one shard may be re-enqueued after worker deaths
-        before the pool gives up and fails the shard with a
+        How many times one task may be re-enqueued after worker deaths
+        before the pool gives up and fails the task with a
         :class:`~repro.errors.ServiceError`.
+    chaos_kill_shard:
+        Deterministic fault injection: the ``k``-th task to start on
+        this pool (1-based, counted over the pool's lifetime, retries
+        included) raises :class:`WorkerDied` instead of running,
+        killing its worker thread.  The retry then proves the
+        bit-identity contract under real mid-job failure.
     """
 
-    _lock_guarded = ("_threads", "_closed")
+    _lock_guarded = ("_threads", "_closed", "_started")
 
     def __init__(
         self,
         n_workers: int,
-        runner_factory: Callable[[], BatchRunner],
         *,
         metrics: MetricRegistry | None = None,
         max_retries: int = 2,
+        chaos_kill_shard: int | None = None,
     ) -> None:
         if (
             not isinstance(n_workers, int)
@@ -197,16 +96,27 @@ class WorkerPool:
                 f"pool: max_retries must be an integer >= 0, "
                 f"got {max_retries!r}"
             )
+        if chaos_kill_shard is not None and (
+            not isinstance(chaos_kill_shard, int)
+            or isinstance(chaos_kill_shard, bool)
+            or chaos_kill_shard < 1
+        ):
+            raise ConfigError(
+                f"chaos_kill_shard must be an integer >= 1 or None, "
+                f"got {chaos_kill_shard!r}"
+            )
         self.n_workers = n_workers
         self.max_retries = max_retries
+        self.chaos_kill_shard = chaos_kill_shard
         self.metrics = metrics if metrics is not None else MetricRegistry()
+        self._shards = self.metrics.counter("service.shards")
         self._deaths = self.metrics.counter("service.worker_deaths")
         self._retries = self.metrics.counter("service.retries")
-        self._runner_factory = runner_factory
         self._tasks: queue.Queue[Any] = queue.Queue()
         self._lock = threading.Lock()
         self._threads: list[threading.Thread] = []
         self._closed = False
+        self._started = 0
         for _ in range(n_workers):
             self._spawn()
 
@@ -222,37 +132,46 @@ class WorkerPool:
         thread.start()
 
     def _worker_loop(self) -> None:
-        runner = self._runner_factory()
-        try:
-            while True:
-                item = self._tasks.get()
-                if item is _STOP:
-                    return
-                task, cell, attempt = item
-                try:
-                    cell.fulfil(task(runner))
-                except WorkerDied as death:
-                    # The whole point: this thread genuinely exits.  The
-                    # shard is re-enqueued and a replacement spawned; the
-                    # retry re-derives the same absolute-index substreams,
-                    # so the re-run is bit-identical.
-                    self._on_death(task, cell, attempt, death)
-                    return
-                except Exception as error:  # noqa: BLE001 — fail the shard, not the pool
-                    cell.fail(error)
-        finally:
-            runner.close()
+        while True:
+            item = self._tasks.get()
+            if item is _STOP:
+                return
+            task, future, attempt = item
+            try:
+                self._maybe_chaos()
+                future.set_result(task())
+            except WorkerDied as death:
+                # The whole point: this thread genuinely exits.  The
+                # task is re-enqueued and a replacement spawned; the
+                # retry re-derives the same absolute-index substreams,
+                # so the re-run is bit-identical.
+                self._on_death(task, future, attempt, death)
+                return
+            except Exception as error:  # noqa: BLE001 — fail the task, not the pool
+                future.set_exception(error)
+
+    def _maybe_chaos(self) -> None:
+        """Kill the armed task (runs on the worker thread)."""
+        if self.chaos_kill_shard is None:
+            return
+        with self._lock:
+            self._started += 1
+            started = self._started
+        if started == self.chaos_kill_shard:
+            raise WorkerDied(
+                f"chaos injection: shard task #{started} killed its worker"
+            )
 
     def _on_death(
         self,
         task: ShardTask,
-        cell: "_ResultCell",
+        future: "Future[Any]",
         attempt: int,
         death: WorkerDied,
     ) -> None:
         self._deaths.inc()
         if attempt >= self.max_retries:
-            cell.fail(
+            future.set_exception(
                 ServiceError(
                     f"shard failed after {attempt + 1} attempt(s) "
                     f"({self.max_retries} retries allowed): {death}"
@@ -260,25 +179,21 @@ class WorkerPool:
             )
             return
         self._retries.inc()
-        self._tasks.put((task, cell, attempt + 1))
+        self._tasks.put((task, future, attempt + 1))
         self._spawn()
 
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    def run_all(self, tasks: Sequence[ShardTask]) -> list[Any]:
-        """Execute every task; results in task order.
-
-        Blocks until all tasks complete (including any death-triggered
-        retries); raises the first failure after all cells settle.
-        """
+    def submit(self, task: ShardTask) -> "Future[Any]":
+        """Queue one task; its future settles with the result or error."""
+        future: Future[Any] = Future()
         with self._lock:
             if self._closed:
                 raise ServiceError("worker pool is closed")
-        cells = [_ResultCell() for _ in tasks]
-        for task, cell in zip(tasks, cells):
-            self._tasks.put((task, cell, 0))
-        return [cell.wait() for cell in cells]
+            self._tasks.put((task, future, 0))
+        self._shards.inc()
+        return future
 
     @property
     def worker_deaths(self) -> int:
@@ -289,7 +204,7 @@ class WorkerPool:
         return self._retries.value
 
     def close(self) -> None:
-        """Stop every worker (idempotent); pending tasks drain first."""
+        """Stop every worker (idempotent); queued tasks drain first."""
         with self._lock:
             if self._closed:
                 return
@@ -305,270 +220,3 @@ class WorkerPool:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-class ShardingRunner(BatchRunner):
-    """A runner whose population batches fan out over a worker pool.
-
-    Drop-in for :class:`~repro.engine.runner.BatchRunner` behind a
-    :class:`~repro.api.session.Session`: sweeps, fault campaigns and
-    pseudorandom campaigns are split into ``policy.chunk_size`` shards
-    (the engine's own chunk boundaries) and executed by pool workers
-    with absolute ``start_index`` offsets; everything else — yield lots
-    (serial RNG draws), distortion (never chunked), calibration — runs
-    on the inherited in-process path.  With ``pool=None`` it *is* a
-    plain runner.
-
-    ``chaos_kill_shard=k`` arms a deterministic fault injection: the
-    ``k``-th shard task to start execution (1-based, counted across the
-    runner's lifetime) raises :class:`WorkerDied` instead of running,
-    killing its worker thread.  The pool's retry then proves the
-    bit-identity contract under real mid-job failure.
-    """
-
-    def __init__(
-        self,
-        policy: "ExecutionPolicy",
-        *,
-        pool: WorkerPool | None = None,
-        cache: "CalibrationCache | None" = None,
-        obs: Any = None,
-        metrics: MetricRegistry | None = None,
-        chaos_kill_shard: int | None = None,
-    ) -> None:
-        if chaos_kill_shard is not None and (
-            not isinstance(chaos_kill_shard, int)
-            or isinstance(chaos_kill_shard, bool)
-            or chaos_kill_shard < 1
-        ):
-            raise ConfigError(
-                f"chaos_kill_shard must be an integer >= 1 or None, "
-                f"got {chaos_kill_shard!r}"
-            )
-        super().__init__(
-            n_workers=1,  # in-process fallback paths stay serial
-            cache=(
-                cache
-                if cache is not None
-                else policy.build_cache(obs=obs, metrics=metrics)
-            ),
-            backend=policy.backend,
-            chunk_size=policy.chunk_size,
-            obs=obs,
-            metrics=metrics,
-        )
-        self.policy = policy
-        self._pool = pool
-        self._shard_counter = self.metrics.counter("service.shards")
-        self._chaos_kill_shard = chaos_kill_shard
-        self._chaos_lock = threading.Lock()
-        self._tasks_started = 0
-
-    # ------------------------------------------------------------------
-    # Chaos injection
-    # ------------------------------------------------------------------
-    def _maybe_chaos(self) -> None:
-        """Kill the armed shard task (runs on the worker thread)."""
-        if self._chaos_kill_shard is None:
-            return
-        with self._chaos_lock:
-            self._tasks_started += 1
-            started = self._tasks_started
-        if started == self._chaos_kill_shard:
-            raise WorkerDied(
-                f"chaos injection: shard task #{started} killed its worker"
-            )
-
-    # ------------------------------------------------------------------
-    # Shard dispatch
-    # ------------------------------------------------------------------
-    def _run_sharded(
-        self,
-        workload: str,
-        n: int,
-        task_for_shard: Callable[[Shard], ShardTask],
-    ) -> list[Any]:
-        pool = self._pool
-        if pool is None:
-            raise ServiceError("sharded dispatch requires a worker pool")
-        shards = plan_shards(n, self.chunk_size)
-        hits0, misses0 = self.cache.hits, self.cache.misses
-        with self.obs.span(
-            "service.shard_map",
-            kind="service.shard",
-            exact={
-                "workload": workload,
-                "n_jobs": n,
-                "n_shards": len(shards),
-                "chunk_size": self.chunk_size,
-            },
-        ) as span:
-            shard_results = pool.run_all(
-                [task_for_shard(shard) for shard in shards]
-            )
-            self._shard_counter.inc(len(shards))
-            results = [
-                result
-                for shard_result in shard_results
-                for result in shard_result
-            ]
-            span.annotate(n_results=len(results))
-            span.annotate_timing(n_workers=pool.n_workers)
-        self._last_effective_workers = min(pool.n_workers, len(shards))
-        self._record(n, hits0, misses0, backend=self.backend)
-        return results
-
-    # ------------------------------------------------------------------
-    # Sharded population workloads
-    # ------------------------------------------------------------------
-    def run_sweep(
-        self,
-        dut: "DUT",
-        config: "AnalyzerConfig",
-        frequencies: Any,
-        m_periods: int | None = None,
-        calibration: "CalibrationResult | None" = None,
-        calibration_fwave: float | None = None,
-        start_index: int = 0,
-    ) -> "list[GainPhaseMeasurement]":
-        if self._pool is None:
-            return super().run_sweep(
-                dut, config, frequencies,
-                m_periods=m_periods,
-                calibration=calibration,
-                calibration_fwave=calibration_fwave,
-                start_index=start_index,
-            )
-        points = [float(f) for f in frequencies]
-        if not points:
-            raise ConfigError("frequency list is empty")
-        # Every shard must calibrate at the FULL sweep's anchor — each
-        # slice's own first frequency would differ per shard and break
-        # byte-identity with the synchronous path.
-        fcal = (
-            calibration_fwave if calibration_fwave is not None else points[0]
-        )
-
-        def task_for(shard: Shard) -> ShardTask:
-            def task(runner: BatchRunner) -> Any:
-                self._maybe_chaos()
-                return runner.run_sweep(
-                    dut,
-                    config,
-                    points[shard.start:shard.stop],
-                    m_periods=m_periods,
-                    calibration=calibration,
-                    calibration_fwave=fcal,
-                    start_index=start_index + shard.start,
-                )
-
-            return task
-
-        return self._run_sharded("sweep", len(points), task_for)
-
-    def run_fault_trials(
-        self,
-        duts: Any,
-        config: "AnalyzerConfig",
-        frequencies: Any,
-        m_periods: int | None = None,
-        calibration_fwave: float | None = None,
-        start_index: int = 0,
-    ) -> "list[tuple[GainPhaseMeasurement, ...]]":
-        if self._pool is None:
-            return super().run_fault_trials(
-                duts, config, frequencies,
-                m_periods=m_periods,
-                calibration_fwave=calibration_fwave,
-                start_index=start_index,
-            )
-        devices = list(duts)
-        if not devices:
-            raise ConfigError("DUT list is empty")
-        probes = tuple(float(f) for f in frequencies)
-        if not probes:
-            raise ConfigError("frequency list is empty")
-        fcal = (
-            calibration_fwave if calibration_fwave is not None else probes[0]
-        )
-
-        def task_for(shard: Shard) -> ShardTask:
-            def task(runner: BatchRunner) -> Any:
-                self._maybe_chaos()
-                return runner.run_fault_trials(
-                    devices[shard.start:shard.stop],
-                    config,
-                    probes,
-                    m_periods=m_periods,
-                    calibration_fwave=fcal,
-                    start_index=start_index + shard.start,
-                )
-
-            return task
-
-        return self._run_sharded("fault_trials", len(devices), task_for)
-
-    def run_pseudorandom_trials(
-        self,
-        duts: Any,
-        config: "AnalyzerConfig",
-        frequencies: Any,
-        misr: Any,
-        m_periods: int | None = None,
-        calibration_fwave: float | None = None,
-        start_index: int = 0,
-    ) -> list[Any]:
-        if self._pool is None:
-            return super().run_pseudorandom_trials(
-                duts, config, frequencies, misr,
-                m_periods=m_periods,
-                calibration_fwave=calibration_fwave,
-                start_index=start_index,
-            )
-        devices = list(duts)
-        if not devices:
-            raise ConfigError("DUT list is empty")
-        tones = tuple(float(f) for f in frequencies)
-        if not tones:
-            raise ConfigError("frequency list is empty")
-        fcal = (
-            calibration_fwave if calibration_fwave is not None else tones[0]
-        )
-
-        def task_for(shard: Shard) -> ShardTask:
-            def task(runner: BatchRunner) -> Any:
-                self._maybe_chaos()
-                return runner.run_pseudorandom_trials(
-                    devices[shard.start:shard.stop],
-                    config,
-                    tones,
-                    misr,
-                    m_periods=m_periods,
-                    calibration_fwave=fcal,
-                    start_index=start_index + shard.start,
-                )
-
-            return task
-
-        return self._run_sharded(
-            "pseudorandom_trials", len(devices), task_for
-        )
-
-
-def worker_runner_factory(
-    policy: "ExecutionPolicy",
-    cache: "CalibrationCache",
-    metrics: MetricRegistry | None = None,
-) -> Callable[[], BatchRunner]:
-    """The factory pool workers build their private runners with.
-
-    Each worker runner is serial (``n_workers=1``) and unchunked — a
-    shard is already one chunk — but keeps the job policy's backend and
-    shares the service-wide calibration cache and metric registry.
-    """
-    worker_policy = policy.replace(n_workers=1, chunk_size=None)
-
-    def build() -> BatchRunner:
-        return worker_policy.build_runner(cache=cache, metrics=metrics)
-
-    return build

@@ -107,9 +107,9 @@ class TestSilent:
     def test_service_package_may_build_queues_and_pools(self, lint):
         src = """
             import queue
-            def build(factory):
+            def build(metrics):
                 from .sharding import WorkerPool
-                pool = WorkerPool(2, factory)
+                pool = WorkerPool(2, metrics=metrics)
                 return pool, queue.Queue()
         """
         assert lint(src, path="src/repro/service/service.py") == []
@@ -117,8 +117,8 @@ class TestSilent:
 
     def test_service_package_may_take_seam_kwargs(self, lint):
         src = """
-            def worker_runner_factory(policy, cache, n_workers=1):
-                return policy
+            def build_pool(metrics, n_workers=1):
+                return metrics
         """
         assert lint(src, path="src/repro/service/sharding.py") == []
 

@@ -1,9 +1,13 @@
 """Analyzer configuration validation and factories."""
 
+import math
+
 import pytest
 
 from repro.core.config import AnalyzerConfig
 from repro.errors import ConfigError
+from repro.reporting.export import scenario_from_json, scenario_to_json
+from repro.scenarios import ScenarioSpec, SweepStep, compile_scenario
 from repro.sc.mismatch import MismatchModel
 
 
@@ -37,6 +41,31 @@ class TestValidation:
     def test_bad_budget_gain(self):
         with pytest.raises(ConfigError):
             AnalyzerConfig(image_budget_gain=-1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "vref",
+            "sd_gain",
+            "epsilon",
+            "stimulus_amplitude",
+            "dut_settle_tolerance",
+            "evaluator_offset2",
+            "image_budget_gain",
+        ],
+    )
+    def test_non_finite_numbers_rejected_by_name(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be finite"):
+            AnalyzerConfig.ideal(**{field: value})
+
+    def test_non_finite_spec_value_rejected_by_name(self):
+        text = scenario_to_json(
+            ScenarioSpec(name="nan", steps=(SweepStep(name="bode"),))
+        ).replace('"stimulus_amplitude": 0.3', '"stimulus_amplitude": NaN')
+        assert "NaN" in text
+        with pytest.raises(ConfigError, match="stimulus_amplitude"):
+            compile_scenario(scenario_from_json(text))
 
 
 class TestFactories:

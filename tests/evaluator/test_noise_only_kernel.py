@@ -172,6 +172,33 @@ def test_threshold_ties_match_the_sample_loop(case):
     assert result.u_final == u_final
 
 
+@settings(max_examples=300, deadline=None)
+@given(windows())
+def test_ideal_closed_form_matches_the_sample_loop(case):
+    """The ideal modulator's closed form against its own sample loop:
+    wherever they make the same decisions, the same final state to the
+    last bit.  (The floors can still decide a state within rounding of
+    the threshold differently from the loop; such windows are skipped.)"""
+    gain, vref, _, _, x, q, u0, _ = case
+    fast = FirstOrderSigmaDelta(gain=gain, vref=vref)
+    loop = FirstOrderSigmaDelta(gain=gain, vref=vref, vectorized=False)
+    result = fast.modulate(x, q, u0=u0)
+    want = loop.modulate(x, q, u0=u0)
+    assume(result.bits.tobytes() == want.bits.tobytes())
+    assert result.u_final == want.u_final
+
+
+def test_ideal_closed_form_final_state_is_the_loops_sum():
+    """The case that exposed a closed-form ``u_final`` off by one ulp."""
+    args = (np.zeros(1), np.ones(1))
+    fast = FirstOrderSigmaDelta().modulate(*args, u0=0.30000000000000004)
+    loop = FirstOrderSigmaDelta(vectorized=False).modulate(
+        *args, u0=0.30000000000000004
+    )
+    assert loop.u_final == 0.10000000000000003
+    assert fast.u_final == loop.u_final
+
+
 def test_dyadic_states_reach_the_threshold():
     """The tie strategy's states do sit exactly on the threshold."""
     gain, amp = 0.5, OpAmpModel(offset=0.125)
