@@ -65,6 +65,7 @@ from ..dut.statespace import stack_population
 from ..errors import ConfigError
 from ..obs.metrics import MetricRegistry
 from ..obs.recorder import default_recorder
+from . import vectorized
 from .cache import CalibrationCache
 from .jobs import (
     DeviceTrialJob,
@@ -472,9 +473,7 @@ class BatchRunner:
         """
         if used != "vectorized":
             return None
-        from .vectorized import PopulationMeasurer
-
-        return PopulationMeasurer(config, m_periods, calibration)
+        return vectorized.PopulationMeasurer(config, m_periods, calibration)
 
     # ------------------------------------------------------------------
     # Frequency sweeps
@@ -536,8 +535,6 @@ class BatchRunner:
                 # each measure a private copy of it.
                 device = dut if self.pool is None else copy.deepcopy(dut)
                 if measurer is not None:
-                    from . import vectorized
-
                     slot = stack_population(
                         [device] * len(points), config.dut_settle_tolerance
                     )
@@ -715,8 +712,6 @@ class BatchRunner:
                         )
                         for i, dut in enumerate(duts[start:stop])
                     ]
-                from . import vectorized
-
                 slot = stack_population(
                     duts[start:stop], config.dut_settle_tolerance
                 )
@@ -841,8 +836,6 @@ class BatchRunner:
                         )
                         for i in range(start, stop)
                     ]
-                from . import vectorized
-
                 population = lot_population(
                     nominal.draw_lot(component_sigma, rng, stop - start),
                     config.dut_settle_tolerance,
