@@ -81,8 +81,9 @@ render — each job's stimulus is perturbed by its private substream.
 Each device then renders its own stimulus with the row kernel the
 reference backend runs, :meth:`~repro.sc.biquad.SCBiquad.render_row`:
 its amplifier noise is drawn in bulk from its own job RNG in the
-reference draw order, and the recurrence runs on Python floats for
-exactly the steps that device's lead-in needs.  The per-device stimuli
+reference draw order, and the recurrence runs on Python floats (a
+verified lean loop for ideal amplifiers) for exactly the steps that
+device's lead-in needs.  The per-device stimuli
 (and hence the integer signatures) are bit-identical to the reference
 backend's, so every valid :class:`~repro.core.config.AnalyzerConfig`
 runs on this backend.

@@ -59,3 +59,16 @@ class ServiceError(ReproError):
     they name the offending field; ``ServiceError`` is about the job and
     worker lifecycle.
     """
+
+
+def require_count(owner: str, fieldname: str, value, minimum: int) -> None:
+    """Raise :class:`ConfigError` unless ``value`` is an integer >= ``minimum``.
+
+    Booleans are rejected although Python counts them as integers, and
+    so are integral floats such as ``3.0``: a count field takes a count.
+    ``owner`` prefixes the message (a step, a function name).
+    """
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ConfigError(
+            f"{owner}: {fieldname} must be an integer >= {minimum}, got {value!r}"
+        )

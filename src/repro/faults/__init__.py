@@ -13,7 +13,9 @@ this analyzer's guaranteed measurement intervals:
 * :class:`~repro.faults.dictionary.FaultDictionary` — the stored
   interval-valued signatures, with detectability checks, ambiguity
   groups and JSON round-tripping
-  (:func:`repro.reporting.export.dictionary_to_json`);
+  (:func:`repro.reporting.export.dictionary_to_json`); its one stacked
+  interval table (:mod:`repro.faults.table`) serves diagnosis, probe
+  selection, detectability and the groups;
 * :func:`~repro.faults.diagnose.diagnose` — interval-aware
   nearest-signature matching that reports ranked candidates *and* the
   ambiguity group instead of silently mis-ranking indistinguishable

@@ -14,6 +14,10 @@ Two distances drive the ranking:
 * **estimate distance** — the plain Euclidean distance between point
   estimates, used to order candidates the intervals cannot separate.
 
+Both are computed for every hypothesis at once, from the dictionary's
+interval table (:attr:`~repro.faults.dictionary.FaultDictionary.table`),
+bit for bit as the per-signature methods would give them.
+
 The honest output for overlapping candidates is the **ambiguity group**:
 every consistent candidate is reported as indistinguishable rather than
 silently ranked below the nearest one.  When *no* candidate is
@@ -26,8 +30,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import ConfigError
+from ..errors import require_count
 from .dictionary import NOMINAL_LABEL, FaultDictionary, FaultSignature
+from .table import SignatureTable, norms, point_estimates, point_gaps
 
 
 @dataclass(frozen=True)
@@ -95,39 +100,43 @@ def diagnose(
         Truncate the ranked candidate list (the ambiguity group is
         computed before truncation and may name faults beyond it).
     """
-    if top_n is not None and top_n < 1:
-        raise ConfigError(f"top_n must be >= 1, got {top_n}")
-    hypotheses = list(dictionary.entries)
+    if top_n is not None:
+        require_count("diagnose", "top_n", top_n, 1)
+    measured._check_comparable(dictionary.nominal)
+    labels = dictionary.labels
+    table = dictionary.table
     if include_nominal:
-        hypotheses.append(dictionary.nominal)
+        labels += (dictionary.nominal.label,)
+    else:
+        table = table.take(slice(0, -1))
 
-    candidates = sorted(
-        (
-            Candidate(
-                label=entry.label,
-                separation=measured.separation(entry),
-                estimate_distance=measured.estimate_distance(entry),
-            )
-            for entry in hypotheses
-        ),
-        key=lambda c: (c.separation, c.estimate_distance, c.label),
+    # Every hypothesis at once: the measured row against the table.
+    one = SignatureTable.of([measured])
+    # Ranked by (separation, estimate distance, label).
+    ranked = sorted(
+        zip(
+            norms(point_gaps(one, table)).tolist(),
+            norms(point_estimates(one, table)).tolist(),
+            labels,
+        )
     )
 
-    consistent = tuple(c.label for c in candidates if c.consistent)
+    consistent = tuple(label for gap, _, label in ranked if gap == 0.0)
     if consistent:
         group = tuple(sorted(consistent))
     else:
         # Nothing fits the guaranteed bounds: report the dictionary's
         # own ambiguity neighbourhood of the nearest fault hypothesis.
-        best = candidates[0].label
+        best = ranked[0][2]
         group = (
             (NOMINAL_LABEL,) if best == NOMINAL_LABEL else dictionary.group_of(best)
         )
 
-    if top_n is not None:
-        candidates = candidates[:top_n]
     return Diagnosis(
         measured_label=measured.label,
-        candidates=tuple(candidates),
+        candidates=tuple(
+            Candidate(label=label, separation=gap, estimate_distance=estimate)
+            for gap, estimate, label in ranked[:top_n]
+        ),
         ambiguity_group=group,
     )

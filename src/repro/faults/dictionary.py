@@ -34,12 +34,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from ..errors import ConfigError
 from ..intervals import BoundedValue, angular_distance, angular_gap
-
-#: Phase intervals are degrees on the circle: comparisons wrap at 360.
-PHASE_PERIOD_DEG = 360.0
+from .table import PHASE_PERIOD_DEG, SignatureTable, norms, pair_blocks, point_gaps
 
 #: Label reserved for the fault-free device's signature.
 NOMINAL_LABEL = "nominal"
@@ -115,11 +116,17 @@ class FaultSignature:
             )
 
     def separation(self, other: "FaultSignature") -> float:
-        """Guaranteed separation: 0 iff the signatures are consistent."""
+        """Guaranteed separation: 0 iff the signatures are consistent.
+
+        The squared gaps are summed one at a time in point order (not
+        with ``sum``, which compensates on Python >= 3.12), so every
+        Python version ranks and reports the same floats.
+        """
         self._check_comparable(other)
-        return math.sqrt(
-            sum(a.gap(b) ** 2 for a, b in zip(self.points, other.points))
-        )
+        total = 0.0
+        for a, b in zip(self.points, other.points):
+            total += a.gap(b) ** 2
+        return math.sqrt(total)
 
     def overlaps(self, other: "FaultSignature") -> bool:
         """True when no probe frequency can tell the two apart."""
@@ -128,12 +135,10 @@ class FaultSignature:
     def estimate_distance(self, other: "FaultSignature") -> float:
         """Point-estimate distance (the ranking tie-breaker)."""
         self._check_comparable(other)
-        return math.sqrt(
-            sum(
-                a.estimate_distance(b) ** 2
-                for a, b in zip(self.points, other.points)
-            )
-        )
+        total = 0.0  # point order, as in separation
+        for a, b in zip(self.points, other.points):
+            total += a.estimate_distance(b) ** 2
+        return math.sqrt(total)
 
     def restrict(self, frequencies) -> "FaultSignature":
         """The signature cut down to a subset of its probe frequencies."""
@@ -202,16 +207,65 @@ class FaultDictionary:
     def entry(self, label: str) -> FaultSignature:
         if label == NOMINAL_LABEL:
             return self.nominal
-        for entry in self.entries:
-            if entry.label == label:
-                return entry
-        raise ConfigError(f"no dictionary entry {label!r}; have {self.labels}")
+        row = self._rows.get(label)
+        if row is None:
+            raise ConfigError(f"no dictionary entry {label!r}; have {self.labels}")
+        return self.entries[row]
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def __iter__(self):
         return iter(self.entries)
+
+    # ------------------------------------------------------------------
+    # The interval table (computed once per dictionary)
+    # ------------------------------------------------------------------
+    @cached_property
+    def table(self) -> SignatureTable:
+        """Every entry's readings, then the nominal's, as one stacked table.
+
+        Diagnosis, probe selection, detectability and the ambiguity
+        groups all read it (see :mod:`repro.faults.table`).
+        """
+        return SignatureTable.of(self.entries + (self.nominal,))
+
+    @cached_property
+    def _rows(self) -> dict[str, int]:
+        return {entry.label: row for row, entry in enumerate(self.entries)}
+
+    @cached_property
+    def _detectable(self) -> np.ndarray:
+        """Per table row: the signature excludes the nominal one."""
+        table = self.table
+        nominal = table.take(slice(-1, None))
+        return ~(norms(point_gaps(table, nominal)) == 0.0)
+
+    @cached_property
+    def _groups(self) -> tuple[tuple[str, ...], ...]:
+        """Connected components of the entries' pairwise-overlap graph."""
+        labels = self.labels
+        parent = list(range(len(labels)))
+
+        def root(k: int) -> int:
+            while parent[k] != k:
+                parent[k] = parent[parent[k]]
+                k = parent[k]
+            return k
+
+        table = self.table
+        for i, j in pair_blocks(len(labels)):
+            overlap = norms(point_gaps(table.take(i), table.take(j))) == 0.0
+            for a, b in zip(i[overlap].tolist(), j[overlap].tolist()):
+                parent[root(a)] = root(b)
+        members: dict[int, list[str]] = {}
+        for k, label in enumerate(labels):  # catalog order keeps the output stable
+            members.setdefault(root(k), []).append(label)
+        return tuple(tuple(sorted(group)) for group in members.values())
+
+    @cached_property
+    def _group_of(self) -> dict[str, tuple[str, ...]]:
+        return {label: group for group in self._groups for label in group}
 
     # ------------------------------------------------------------------
     # Detectability and ambiguity
@@ -223,7 +277,9 @@ class FaultDictionary:
         plan and window size — the knobs are more/better probe
         frequencies or a larger ``M``.
         """
-        return not self.entry(label).overlaps(self.nominal)
+        self.entry(label)  # validates the label
+        row = -1 if label == NOMINAL_LABEL else self._rows[label]
+        return bool(self._detectable[row])
 
     def ambiguity_groups(self) -> tuple[tuple[str, ...], ...]:
         """Partition of the fault labels into indistinguishability groups.
@@ -231,39 +287,18 @@ class FaultDictionary:
         Signature overlap is not transitive, so groups are the connected
         components of the pairwise-overlap graph: a diagnosis inside a
         component may not be able to single out one member.  Singleton
-        groups are uniquely diagnosable faults.
+        groups are uniquely diagnosable faults.  Each group is sorted;
+        groups come in the catalog order of their first member.
         """
-        labels = list(self.labels)
-        adjacency = {label: set() for label in labels}
-        for i, a in enumerate(self.entries):
-            for b in self.entries[i + 1 :]:
-                if a.overlaps(b):
-                    adjacency[a.label].add(b.label)
-                    adjacency[b.label].add(a.label)
-        groups = []
-        unseen = set(labels)
-        for label in labels:  # catalog order keeps the output stable
-            if label not in unseen:
-                continue
-            component = set()
-            frontier = [label]
-            while frontier:
-                current = frontier.pop()
-                if current in component:
-                    continue
-                component.add(current)
-                frontier.extend(adjacency[current] - component)
-            unseen -= component
-            groups.append(tuple(sorted(component)))
-        return tuple(groups)
+        return self._groups
 
     def group_of(self, label: str) -> tuple[str, ...]:
         """The ambiguity group containing a fault label."""
         self.entry(label)  # validates the label
-        for group in self.ambiguity_groups():
-            if label in group:
-                return group
-        raise ConfigError(f"no ambiguity group for {label!r}")  # pragma: no cover
+        group = self._group_of.get(label)
+        if group is None:
+            raise ConfigError(f"no ambiguity group for {label!r}")
+        return group
 
     # ------------------------------------------------------------------
     def restrict(self, frequencies) -> "FaultDictionary":

@@ -15,21 +15,41 @@ production program measures only the selected frequencies.
 
 from __future__ import annotations
 
-from ..errors import ConfigError
-from .dictionary import FaultDictionary, FaultSignature
+import numpy as np
+
+from ..errors import ConfigError, require_count
+from .dictionary import FaultDictionary
+from .table import pair_blocks, point_gaps
 
 
-def _pairs(signatures: list[FaultSignature]):
-    for i, a in enumerate(signatures):
-        for b in signatures[i + 1 :]:
-            yield a, b
+def pair_table(
+    dictionary: FaultDictionary, include_nominal: bool = True
+) -> tuple[np.ndarray, list[float]]:
+    """Which signature pairs each frequency separates, and by how much.
 
-
-def pair_separation_at(
-    a: FaultSignature, b: FaultSignature, point_index: int
-) -> float:
-    """Interval gap between two signatures at one probe point."""
-    return a.points[point_index].gap(b.points[point_index])
+    Returns a boolean ``(pairs x frequencies)`` mask, true where the
+    pair's interval gap at that frequency is positive, and per
+    frequency the margin: the sum of those gaps in pair order.  Pairs
+    run over the dictionary's entries (then the nominal signature) in
+    the order ``for i: for j > i``.  The gaps come from
+    :attr:`FaultDictionary.table
+    <repro.faults.dictionary.FaultDictionary.table>` in bounded row
+    blocks (:func:`~repro.faults.table.pair_blocks`); only the mask is
+    kept, and each margin carries from block to block.
+    """
+    table = dictionary.table
+    n_signatures = len(table) if include_nominal else len(table) - 1
+    n_points = len(dictionary.frequencies)
+    blocks = [np.zeros((0, n_points), dtype=bool)]
+    margin = np.zeros(n_points)
+    for i, j in pair_blocks(n_signatures):
+        gaps = point_gaps(table.take(i), table.take(j))
+        separated = gaps > 0.0
+        blocks.append(separated)
+        # Running sum in pair order: the carried margin, then each row.
+        rows = np.concatenate((margin[None, :], np.where(separated, gaps, 0.0)))
+        margin = np.add.accumulate(rows, axis=0)[-1]
+    return np.concatenate(blocks), margin.tolist()
 
 
 def select_probe_frequencies(
@@ -47,42 +67,28 @@ def select_probe_frequencies(
     coverage.  Pairs no candidate frequency separates are intrinsic
     ambiguity — no subset selection can resolve them.
 
+    Coverage and margins come from :func:`pair_table`.
+
     Returns the selected frequencies in ascending order.
     """
     frequencies = dictionary.frequencies
-    if not 1 <= n_probes <= len(frequencies):
+    require_count("select_probe_frequencies", "n_probes", n_probes, 1)
+    if not n_probes <= len(frequencies):
         raise ConfigError(
             f"n_probes must be in 1..{len(frequencies)}, got {n_probes}"
         )
-    signatures = list(dictionary.entries)
-    if include_nominal:
-        signatures.append(dictionary.nominal)
-
-    # Precompute, per frequency: which pairs it separates, with margins.
-    pair_ids = {}
-    separated_by: list[set[int]] = [set() for _ in frequencies]
-    margin: list[float] = [0.0 for _ in frequencies]
-    for a, b in _pairs(signatures):
-        pair_id = pair_ids.setdefault((a.label, b.label), len(pair_ids))
-        for i in range(len(frequencies)):
-            gap = pair_separation_at(a, b, i)
-            if gap > 0.0:
-                separated_by[i].add(pair_id)
-                margin[i] += gap
+    separated_by, margins = pair_table(dictionary, include_nominal)
 
     chosen: list[int] = []
-    covered: set[int] = set()
-    remaining = set(range(len(frequencies)))
-    while len(chosen) < n_probes and remaining:
+    uncovered = np.ones(len(separated_by), dtype=bool)
+    remaining = list(range(len(frequencies)))  # first minimum wins ties
+    for _ in range(n_probes):
+        counts = separated_by[uncovered].sum(axis=0).tolist()
         best = min(
             remaining,
-            key=lambda i: (
-                -len(separated_by[i] - covered),
-                -margin[i],
-                frequencies[i],
-            ),
+            key=lambda k: (-counts[k], -margins[k], frequencies[k]),
         )
         chosen.append(best)
-        covered |= separated_by[best]
+        uncovered &= ~separated_by[:, best]
         remaining.remove(best)
-    return tuple(sorted(frequencies[i] for i in chosen))
+    return tuple(sorted(frequencies[k] for k in chosen))

@@ -368,6 +368,64 @@ def angular_gap(a: BoundedValue, b: BoundedValue, period: float = TWO_PI) -> flo
     return min(start - width_a, period - start - width_b)
 
 
+def angular_distance_array(
+    x: "npt.ArrayLike", y: "npt.ArrayLike", period: float = TWO_PI
+) -> np.ndarray:
+    """:func:`angular_distance` elementwise, bit for bit.
+
+    Every step is the scalar form's own IEEE operation (subtract,
+    ``fmod``, add, compare), so each element equals the scalar result.
+    Where the scalar ``math.fmod`` raises (an infinite difference), the
+    element is NaN.
+    """
+    if not period > 0:
+        raise ConfigError(f"period must be positive, got {period!r}")
+    with np.errstate(invalid="ignore", over="ignore"):
+        d = np.fmod(_as_float_array(x) - _as_float_array(y), period)
+        d = np.where(d < 0, d + period, d)
+        other = period - d
+    return np.where(other < d, other, d)  # min(d, other): ties keep d
+
+
+def angular_gap_array(
+    a_lower: "npt.ArrayLike",
+    a_upper: "npt.ArrayLike",
+    b_lower: "npt.ArrayLike",
+    b_upper: "npt.ArrayLike",
+    period: float = TWO_PI,
+) -> np.ndarray:
+    """:func:`angular_gap` elementwise over arc endpoint arrays, bit for bit.
+
+    Arc ``a`` runs from ``a_lower`` to ``a_upper`` and arc ``b`` from
+    ``b_lower`` to ``b_upper``; the arrays broadcast.  Only subtraction,
+    ``fmod``, addition and comparisons are used, each exact or
+    correctly rounded as in the scalar form, and ``min`` keeps its
+    first argument on ties, so each element equals
+    ``angular_gap(a, b, period)`` including the sign of zero.  Where the
+    scalar ``math.fmod`` raises (finite starts whose difference
+    overflows), the element is NaN.
+    """
+    if not period > 0:
+        raise ConfigError(f"period must be positive, got {period!r}")
+    a_start = _as_float_array(a_lower)
+    b_start = _as_float_array(b_lower)
+    with np.errstate(invalid="ignore", over="ignore"):
+        width_a = _as_float_array(a_upper) - a_start
+        width_b = _as_float_array(b_upper) - b_start
+        start = np.fmod(b_start - a_start, period)
+        start = np.where(start < 0, start + period, start)
+        overlap = (
+            (width_a >= period)
+            | (width_b >= period)
+            | (start <= width_a)
+            | (start + width_b >= period)
+        )
+        forward = start - width_a
+        backward = period - start - width_b
+    gap = np.where(backward < forward, backward, forward)
+    return np.where(overlap, 0.0, gap)
+
+
 def angular_overlap(a: BoundedValue, b: BoundedValue, period: float = TWO_PI) -> bool:
     """True when two angular intervals intersect anywhere on the circle."""
     return angular_gap(a, b, period) == 0.0

@@ -29,6 +29,7 @@ unit capacitor size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,10 @@ from ..errors import ConfigError
 from .mismatch import MismatchModel
 from .noise import ktc_noise_rms
 from .opamp import OpAmpModel
+
+#: Magnitude bound on the lean render's states: below it the difference
+#: of two states is finite (see :meth:`SCBiquad.render_row`).
+_LEAN_STATE_BOUND = 2.0**1022
 
 
 @dataclass(frozen=True)
@@ -209,10 +214,69 @@ class SCBiquad:
         and ``noise2`` the amplifiers' per-step noise from
         :meth:`draw_noise`, and ``(v1, v2)`` the initial state.  Returns
         the output sequence and the final state; the biquad's own state
-        is left alone.  The loop runs on Python floats: one IEEE
-        operation per term, in the order the difference equations are
-        written, with finite gain, offset, incomplete settling and
-        saturation as in :class:`~repro.sc.opamp.OpAmpModel`.
+        is left alone.  The result is always the reference recurrence's
+        (:meth:`_render_reference`), bit for bit.
+
+        When both amplifiers have infinite gain, no offset, complete
+        settling and no rails (every generator a spec or the wire
+        builds), and there is no E-type damping, the row runs a lean
+        loop, ``v1 - (q + a*v2)/be + n1`` and ``leak2*v2 + c2*v1 + n2``.
+        It drops the reference's ``1.0 *`` factors, its ``+ 0.0``
+        offsets, its ``target - 0.0*(target - v)`` settling and its rail
+        compares.  Each dropped operation is exact, except that ``x +
+        0.0`` turns ``-0.0`` into ``+0.0`` and ``0.0*(target - v)`` is
+        NaN when the difference overflows.  So by induction over the
+        steps the two loops hold the same states as long as every state
+        the lean loop makes is non-zero (a differing zero sign can only
+        reach a state that is itself zero) and below ``2**1022`` in
+        magnitude (then ``target - v`` is finite; this also rules out
+        infinities and NaN).  The lean loop stops at the first state
+        that fails this and re-runs the row on the reference loop from
+        the same initial state and noise.
+        """
+        caps = self.caps
+        amp1, amp2 = self.opamp1, self.opamp2
+        lean = (
+            self._leak1 == 1.0
+            and self._gain1 == 1.0
+            and self._gain2 == 1.0
+            and caps.b * amp1.offset == 0.0
+            and amp2.offset == 0.0
+            and amp1.settling_error == 0.0
+            and amp2.settling_error == 0.0
+            and amp1.v_sat == amp2.v_sat == math.inf
+        )
+        hi = _LEAN_STATE_BOUND
+        lo = -hi
+        if not (lean and lo < v1 and v1 < hi and lo < v2 and v2 < hi):
+            return self._render_reference(charges, noise1, noise2, v1, v2)
+        a, be = caps.a, caps.b + caps.e
+        leak2, c2 = self._leak2, self._c2
+        x1, x2 = v1, v2
+        out = []
+        append = out.append
+        for q, n1, n2 in zip(charges, noise1, noise2):
+            x1 = x1 - (q + a * x2) / be + n1
+            x2 = leak2 * x2 + c2 * x1 + n2
+            if not (x1 and x2 and lo < x1 and x1 < hi and lo < x2 and x2 < hi):
+                return self._render_reference(charges, noise1, noise2, v1, v2)
+            append(x2)
+        return out, x1, x2
+
+    def _render_reference(
+        self,
+        charges: list[float],
+        noise1: list[float],
+        noise2: list[float],
+        v1: float,
+        v2: float,
+    ) -> tuple[list[float], float, float]:
+        """The reference recurrence of :meth:`render_row`.
+
+        It runs on Python floats: one IEEE operation per term, in the
+        order the difference equations are written, with finite gain,
+        offset, incomplete settling and saturation as in
+        :class:`~repro.sc.opamp.OpAmpModel`.
         """
         caps = self.caps
         amp1, amp2 = self.opamp1, self.opamp2

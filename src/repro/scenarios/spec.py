@@ -28,7 +28,7 @@ from typing import ClassVar
 
 from ..core.sweep import PAPER_MAX_FREQUENCY, PAPER_MIN_FREQUENCY
 from ..engine.runner import BACKENDS
-from ..errors import ConfigError
+from ..errors import ConfigError, require_count
 from ..prbist.lfsr import LFSR_FORMS, PRIMITIVE_POLYNOMIALS
 
 #: Schema identifier of a serialized scenario.
@@ -50,10 +50,7 @@ def _require_in_band(step: str, fieldname: str, value: float) -> float:
 def _require_even_window(owner: str, fieldname: str, value) -> None:
     if value is None:
         return
-    if not isinstance(value, int) or isinstance(value, bool) or value < 2:
-        raise ConfigError(
-            f"{owner}: {fieldname} must be an integer >= 2, got {value!r}"
-        )
+    require_count(owner, fieldname, value, 2)
     if value % 2 != 0:
         raise ConfigError(
             f"{owner}: {fieldname} must be even (chopped counting), got {value}"
@@ -141,10 +138,7 @@ class SweepStep:
                 f"step {self.name!r}: f_start {self.f_start:g} must be below "
                 f"f_stop {self.f_stop:g}"
             )
-        if self.n_points < 2:
-            raise ConfigError(
-                f"step {self.name!r}: n_points must be >= 2, got {self.n_points}"
-            )
+        require_count(f"{self.kind} step {self.name!r}", "n_points", self.n_points, 2)
         _require_even_window(f"step {self.name!r}", "m_periods", self.m_periods)
 
 
@@ -170,10 +164,7 @@ class YieldStep:
 
     def __post_init__(self) -> None:
         _require_name(self.kind, self.name)
-        if self.n_devices < 1:
-            raise ConfigError(
-                f"step {self.name!r}: n_devices must be >= 1, got {self.n_devices}"
-            )
+        require_count(f"{self.kind} step {self.name!r}", "n_devices", self.n_devices, 1)
         # NaN fails every comparison, so each range check asks for a
         # finite value first (JSON decoding accepts NaN and Infinity).
         if not (math.isfinite(self.component_sigma) and self.component_sigma >= 0):
@@ -321,23 +312,14 @@ class DiagnoseStep:
                 f"step {self.name!r}: deviations must be a non-empty tuple of "
                 f"positive magnitudes, got {self.deviations}"
             )
-        if self.n_candidate_points < 2:
-            raise ConfigError(
-                f"step {self.name!r}: n_candidate_points must be >= 2, "
-                f"got {self.n_candidate_points}"
-            )
+        owner = f"{self.kind} step {self.name!r}"
+        require_count(owner, "n_candidate_points", self.n_candidate_points, 2)
         if not self.decades > 0:
             raise ConfigError(
                 f"step {self.name!r}: decades must be positive, got {self.decades!r}"
             )
-        if self.n_probes < 1:
-            raise ConfigError(
-                f"step {self.name!r}: n_probes must be >= 1, got {self.n_probes}"
-            )
-        if self.top_n < 1:
-            raise ConfigError(
-                f"step {self.name!r}: top_n must be >= 1, got {self.top_n}"
-            )
+        require_count(owner, "n_probes", self.n_probes, 1)
+        require_count(owner, "top_n", self.top_n, 1)
         _require_even_window(f"step {self.name!r}", "m_periods", self.m_periods)
 
 
@@ -368,10 +350,7 @@ class DynamicRangeStep:
                 f"step {self.name!r}: threshold_db must be positive, "
                 f"got {self.threshold_db!r}"
             )
-        if self.harmonic < 2:
-            raise ConfigError(
-                f"step {self.name!r}: harmonic must be >= 2, got {self.harmonic}"
-            )
+        require_count(f"{self.kind} step {self.name!r}", "harmonic", self.harmonic, 2)
         _require_even_window(f"step {self.name!r}", "m_periods", self.m_periods)
 
 
@@ -388,15 +367,7 @@ def _require_prbist_stimulus(step: "PseudorandomStep | SignatureCheckStep") -> N
             f"step {step.name!r}: lfsr_form must be one of {LFSR_FORMS}, "
             f"got {step.lfsr_form!r}"
         )
-    if (
-        not isinstance(step.n_patterns, int)
-        or isinstance(step.n_patterns, bool)
-        or step.n_patterns < 1
-    ):
-        raise ConfigError(
-            f"step {step.name!r}: n_patterns must be an integer >= 1, "
-            f"got {step.n_patterns!r}"
-        )
+    require_count(f"{step.kind} step {step.name!r}", "n_patterns", step.n_patterns, 1)
     if step.misr_width not in PRIMITIVE_POLYNOMIALS:
         raise ConfigError(
             f"step {step.name!r}: misr_width must be one of "

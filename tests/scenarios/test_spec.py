@@ -168,6 +168,25 @@ class TestPayloadParsing:
         with pytest.raises(ConfigError, match="sweep"):
             step_from_payload(payload)
 
+    @pytest.mark.parametrize("value", [1.5, 8.5, 3.0, True, False, "3", None])
+    @pytest.mark.parametrize(
+        "step, field",
+        [
+            (SweepStep(name="s"), "n_points"),
+            (YieldStep(name="y"), "n_devices"),
+            (DiagnoseStep(name="d"), "n_candidate_points"),
+            (DiagnoseStep(name="d"), "n_probes"),
+            (DiagnoseStep(name="d"), "top_n"),
+            (DynamicRangeStep(name="r"), "harmonic"),
+            (PseudorandomStep(name="p"), "n_patterns"),
+        ],
+    )
+    def test_count_fields_take_integers_only(self, step, field, value):
+        payload = json.loads(make_spec(steps=(step,)).to_json())
+        payload["steps"][0][field] = value
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            ScenarioSpec.from_json(json.dumps(payload))
+
     def test_unknown_scenario_field_rejected(self):
         payload = json.loads(make_spec().to_json())
         payload["colour"] = "red"
