@@ -39,8 +39,10 @@ from ..intervals import angular_distance_array, angular_gap_array
 #: Phase intervals are degrees on the circle: comparisons wrap at 360.
 PHASE_PERIOD_DEG = 360.0
 
-#: Rows of the pair table built per block by :func:`pair_blocks`.
-PAIR_BLOCK_ROWS = 65536
+#: Rows of the pair table built per block by :func:`pair_blocks`.  A
+#: block's gaps pass through Python float lists (``math.hypot``), about
+#: 100 bytes per element, so this keeps a 12-point block near 1 MB.
+PAIR_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True, eq=False)
