@@ -421,6 +421,22 @@ class TestSummationOrder:
                 sequential += term
             assert math.sqrt(sequential) != math.sqrt(math.fsum(terms))
 
+    def test_twelve_points_sum_in_point_order(self):
+        """NumPy's inner-axis sum is pairwise from 8 terms; the table's is not."""
+        zero = BoundedValue.exact(0.0)
+        gaps = (math.sqrt(2.0),) + (math.sqrt(1.5e-16),) * 11
+        a = FaultSignature("a", tuple(
+            SignaturePoint(1e3 * (k + 1), zero, zero) for k in range(12)
+        ))
+        b = FaultSignature("b", tuple(
+            SignaturePoint(1e3 * (k + 1), BoundedValue.exact(g), zero)
+            for k, g in enumerate(gaps)
+        ))
+        gaps = point_gaps(SignatureTable.of([a]), SignatureTable.of([b]))
+        squares = np.array([g**2 for g in gaps[0].tolist()])
+        assert math.sqrt(squares.sum()) != a.separation(b)
+        assert bits(norms(gaps)) == bits([a.separation(b)])
+
     def test_scalar_and_table_sum_sequentially(self):
         a, b = self.make()
         for point_values, total in (
