@@ -27,18 +27,10 @@ operations:
   stimulus prefix (minus the final-state recovery the population path
   never observes); rows without a model go through
   :meth:`~repro.dut.base.DUT.batch_response`.
-* **Population-batched modulators.**  The exact closed-form bitstream of
-  the ideal modulator reads two prefix sums per device, taken by
-  outer-axis ``np.add.reduce`` over a time-major block of devices, in
-  slots of any size.  Noise-only modulators (infinite gain, complete
-  settling: every evaluator a scenario builds) guess their bitstreams
-  from the same running floor and verify every decision against the
-  exact sequential state
-  (:meth:`~repro.evaluator.sigma_delta.FirstOrderSigmaDelta.speculate_bits`),
-  also over time-major blocks in slots of any size.  Modulators with
-  finite gain or incomplete settling run the reference recurrence as a
-  time loop over device-axis vectors in wide slots, and the reference
-  per-device modulator (a loop on Python floats) in small ones.
+* **Population-batched modulators.**  Each channel of a device block is
+  one call of
+  :meth:`~repro.evaluator.sigma_delta.FirstOrderSigmaDelta.signatures`,
+  whose module states the branch rule and the kernels it picks.
 * **Cache-sized blocks, counted time-major.**  Every slot fills one
   reused ``(block x mn)`` buffer, one device per row; each channel's
   ``q *`` modulation writes its working copy transposed, ``(mn x
@@ -108,7 +100,6 @@ from ..errors import ConfigError
 from ..evaluator.counters import SignatureCounter
 from ..evaluator.dsp import SignatureDSP, correlation_gain, phase_offset
 from ..evaluator.evaluator import SinewaveEvaluator
-from ..evaluator.sigma_delta import FirstOrderSigmaDelta
 from ..evaluator.signatures import SignaturePair
 from ..generator.design import PAPER_CAPACITORS
 from ..generator.sinewave_generator import SinewaveGenerator
@@ -131,22 +122,6 @@ def _job_rng(
     return np.random.default_rng(derive_seed(config.noise_seed, stream, index))
 
 
-def _channel_is_ideal(channel: FirstOrderSigmaDelta, has_rng: bool) -> bool:
-    """The reference branch condition of ``FirstOrderSigmaDelta.modulate``.
-
-    Evaluated against the *job's* RNG presence (the template channels
-    here carry no RNG of their own).
-    """
-    amp = channel.opamp
-    return (
-        amp.inverse_gain == 0.0
-        and amp.offset == 0.0
-        and amp.settling_error == 0.0
-        and channel.comparator_offset == 0.0
-        and (amp.noise_rms == 0.0 or not has_rng)
-    )
-
-
 def _build_evaluator(config: AnalyzerConfig) -> SinewaveEvaluator:
     """The analyzer's evaluator wiring, without a noise source.
 
@@ -165,129 +140,6 @@ def _modulated(q: np.ndarray, responses: np.ndarray) -> np.ndarray:
     out = np.empty(responses.shape[::-1])
     np.multiply(responses.T, q[:, None], out=out)
     return out
-
-
-def _prefix_sums(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows ``half - 2`` and ``n - 2`` of ``np.cumsum(t, axis=0)``, bit for
-    bit, for a C-contiguous time-major block ``t`` ``(n x devices)``.
-
-    NumPy reduces the outer axis of a C-contiguous array one row at a
-    time, in order: the sequential order of ``cumsum``, which is what
-    fixes the floating-point values.  So two reductions give both sums
-    without writing the running sum: ``T[half - 2]`` over the first
-    ``half - 1`` rows, and ``T[n - 2]`` by adding that into row
-    ``half - 1`` and reducing on from there.  A single column would be
-    reduced pairwise instead, so it takes the running sum.  ``t`` is
-    consumed.
-    """
-    n = t.shape[0]
-    half = n // 2
-    if t.shape[1] == 1:
-        np.cumsum(t, axis=0, out=t)
-        return t[half - 2], t[n - 2]
-    first = np.add.reduce(t[: half - 1], axis=0)
-    t[half - 1] += first
-    return first, np.add.reduce(t[half - 1 : n - 1], axis=0)
-
-
-def _closed_form_counts(
-    channel: FirstOrderSigmaDelta, w: np.ndarray, u0: np.ndarray, chopped: bool
-) -> np.ndarray:
-    """Device-batched exact closed-form signatures of the ideal modulator.
-
-    The population form of ``FirstOrderSigmaDelta._modulate_ideal_vectorized``
-    composed with the signature counter, with the counting *telescoped*:
-    the running-floor solution makes the cumulative ones count through
-    sample ``k`` exactly ``floor(y0 + T_k) + 1``, so each half-window
-    count — and hence the chopped signature — needs only the floor of
-    two specific prefix sums.  The prefix sums are the values of the
-    sequential ``cumsum`` the per-device fast path performs
-    (:func:`_prefix_sums`), so the resulting integer signatures are
-    bit-identical to the reference path's; the whole bitstream is never
-    materialized.
-
-    ``w`` is time-major ``(mn x devices)`` and consumed in place (the
-    caller passes a private copy).
-    """
-    half_span = 2.0 * channel.gain * channel.vref
-    y0 = u0 / half_span
-    t = np.ascontiguousarray(w)
-    t /= channel.vref
-    t += 1.0
-    t *= 0.5
-    n = t.shape[0]
-    # Cumulative ones through sample k: floor(y0 + T_k) + 1, where T_k
-    # excludes sample k itself (the decision precedes the integration).
-    first, total = _prefix_sums(t)
-    ones_first = np.floor(y0 + first) + 1.0
-    ones_total = np.floor(y0 + total) + 1.0
-    if chopped:
-        ones_second = ones_total - ones_first
-        return (2.0 * (ones_first - ones_second)).astype(np.int64)
-    return (2.0 * ones_total - n).astype(np.int64)
-
-
-def _nonideal_bits(
-    channel: FirstOrderSigmaDelta, drive: np.ndarray, u0: np.ndarray
-) -> np.ndarray:
-    """Device-batched recurrence of finite-gain or incompletely settling
-    modulators.
-
-    The reference per-sample loop, restated as a time loop over
-    device-axis vectors: each step performs the same IEEE operations in
-    the same order as the scalar recurrence — on the window's ``(w +
-    offset) + noise``, formed once by the caller, the feedback is
-    exactly ``+/-vref``, and the state clips only when ``v_sat`` is
-    finite — so the bitstreams are bit-identical.  The win is amortizing
-    the Python loop over the whole population.  ``drive`` is time-major
-    ``(mn x devices)``, as are the returned bits.
-    """
-    amp = channel.opamp
-    g = channel.gain
-    vref = channel.vref
-    threshold = channel.comparator_offset
-    leak = 1.0 - amp.inverse_gain * g
-    settle = amp.settling_error
-    u_sat = amp.v_sat
-    clip = not math.isinf(u_sat)
-    decisions = np.empty(drive.shape, dtype=bool)
-    u = np.array(u0, dtype=float)
-    feedback = np.empty_like(u)
-    target = np.empty_like(u)
-    term = np.empty_like(u)
-    for i in range(len(drive)):
-        decide = decisions[i]
-        np.greater_equal(u, threshold, out=decide)
-        # 2 vref - vref and 0 - vref are exact: the feedback is +/-vref.
-        np.multiply(decide, 2.0 * vref, out=feedback)
-        feedback -= vref
-        np.subtract(drive[i], feedback, out=target)
-        target *= g
-        np.multiply(u, leak, out=term)
-        target += term
-        np.subtract(target, u, out=term)
-        term *= settle
-        np.subtract(target, term, out=u)
-        if clip:
-            np.minimum(u, u_sat, out=u)
-            np.maximum(u, -u_sat, out=u)
-    return np.where(decisions, 1, -1).astype(np.int8)
-
-
-#: Below this population size the time-stepped device-axis modulator loop
-#: loses to the reference per-device modulator (NumPy per-op overhead
-#: dominates small vectors); the measurer switches strategy on it when a
-#: channel has finite gain or incomplete settling.  Ideal and noise-only
-#: channels take their array forms at every size, which measured no
-#: slower than the per-device modulator from one device up
-#: (EXPERIMENTS.md).  The measured crossover of
-#: ``PopulationMeasurer.measure`` on one slot (m = 40, evaluator dc_gain
-#: 3000, settling error 1e-3 and 1e-4 V rms noise, generator 5e-5 V rms,
-#: catalog faults at the cutoff; 2-vCPU Xeon, CPython 3.11.7, NumPy
-#: 2.4.6), per-device vs device-axis ms, median of 9: 28 devices 112 vs
-#: 146, 32: 129 vs 143, 36: 143 vs 149, 40: 157 vs 160, 44: 182 vs 171.
-#: EXPERIMENTS.md has the full table.
-_BATCH_MIN_DEVICES = 40
 
 
 #: Devices per block of an ideal or noise-only slot (see
@@ -316,18 +168,6 @@ class SlotArrays(NamedTuple):
     phase: BoundedArray
     gain: BoundedArray
     phase_rad: BoundedArray
-
-
-def _count_signatures(bits: np.ndarray, chopped: bool) -> np.ndarray:
-    """Device-batched signature counting of time-major ``(mn x devices)``
-    bits (the counter's +/-1 convention)."""
-    n = bits.shape[0]
-    if chopped:
-        half = n // 2
-        first = bits[:half].sum(axis=0, dtype=np.int64)
-        second = bits[half:].sum(axis=0, dtype=np.int64)
-        return first - second
-    return bits.sum(axis=0, dtype=np.int64)
 
 
 class PopulationMeasurer:
@@ -375,11 +215,10 @@ class PopulationMeasurer:
             and config.generator_opamp is not None
             and config.generator_opamp.noise_rms != 0.0
         )
-        # Channels that need the device-axis time loop: neither ideal
-        # nor noise-only.  Other slots are walked in device blocks.
-        self._looped_channels = any(
-            not _channel_is_ideal(channel, self._has_rng)
-            and not channel.is_leak_free()
+        # Channels that are not leak-free step through time across every
+        # column of a call: such a slot is one block.
+        self._looped_channels = not all(
+            channel.is_leak_free()
             for channel in (self.evaluator.channel1, self.evaluator.channel2)
         )
         self._generator: SinewaveGenerator | None = None
@@ -563,7 +402,7 @@ class PopulationMeasurer:
         """One block's counts from its filled response rows."""
         # Per-job RNG consumption, reference order: the render (already
         # drawn by the fill), then power-up states, then channel-1 noise,
-        # then channel-2 noise.
+        # then channel-2 noise (drawn by each channel's call).
         u0 = np.zeros((len(rngs), 2))
         if self.config.random_modulator_state and self._has_rng:
             bound = 0.5 * self.evaluator.channel1.state_bound
@@ -571,29 +410,14 @@ class PopulationMeasurer:
                 if rng is not None:
                     u0[i, 0] = float(rng.uniform(-bound, bound))
                     u0[i, 1] = float(rng.uniform(-bound, bound))
-
-        channel1 = self.evaluator.channel1
-        channel2 = self.evaluator.channel2
-        if self._looped_channels and len(rngs) < _BATCH_MIN_DEVICES:
-            # Small finite-gain populations (a diagnosis-time signature,
-            # a short sweep): the time-stepped device-axis loop would not
-            # amortize its per-step NumPy calls — run the reference
-            # modulator per device, wired to the job's RNG.
-            return self._per_device_counts(rngs, responses, u0)
-        noise1 = self._draw_noise(channel1, rngs)
-        noise2 = self._draw_noise(channel2, rngs)
-        # The modulation bits are +/-1, so |q * x| == |x| exactly:
-        # both channels share one overload count per device.
-        overload_row = (np.abs(responses) > channel1.vref).sum(
-            axis=1, dtype=np.int64
+        chopped = self.config.chopped
+        i1, overload1 = self.evaluator.channel1.signatures(
+            _modulated(self._q1, responses), u0[:, 0], rngs, chopped
         )
-        i1 = self._channel_counts(
-            channel1, self._q1, responses, u0[:, 0], overload_row, noise1
+        i2, overload2 = self.evaluator.channel2.signatures(
+            _modulated(self._q2, responses), u0[:, 1], rngs, chopped
         )
-        i2 = self._channel_counts(
-            channel2, self._q2, responses, u0[:, 1], overload_row, noise2
-        )
-        return i1, i2, 2 * overload_row
+        return i1, i2, overload1 + overload2
 
     # ------------------------------------------------------------------
     def _row_filler(self, population: Population, fwaves: list[float], rngs: list):
@@ -678,114 +502,6 @@ class PopulationMeasurer:
             return np.repeat(out[head:], hold)
 
         return held_input
-
-    # ------------------------------------------------------------------
-    def _per_device_counts(
-        self,
-        rngs: list,
-        responses: np.ndarray,
-        u0: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Reference modulators per device (small slots of finite-gain or
-        incompletely settling channels).
-
-        Each device gets fresh modulator instances wired to its job RNG,
-        so branch selection, noise consumption and arithmetic are the
-        reference path's own.
-        """
-        channel1 = self.evaluator.channel1
-        channel2 = self.evaluator.channel2
-        chopped = self.config.chopped
-        n = len(rngs)
-        i1 = np.empty(n, dtype=np.int64)
-        i2 = np.empty(n, dtype=np.int64)
-        overload = np.empty(n, dtype=np.int64)
-        for i, rng in enumerate(rngs):
-            modulator1 = FirstOrderSigmaDelta(
-                gain=channel1.gain,
-                vref=channel1.vref,
-                opamp=channel1.opamp,
-                comparator_offset=channel1.comparator_offset,
-                rng=rng,
-            )
-            modulator2 = FirstOrderSigmaDelta(
-                gain=channel2.gain,
-                vref=channel2.vref,
-                opamp=channel2.opamp,
-                comparator_offset=channel2.comparator_offset,
-                rng=rng,
-            )
-            response = responses[i]
-            result1 = modulator1.modulate(response, self._q1, u0=float(u0[i, 0]))
-            result2 = modulator2.modulate(response, self._q2, u0=float(u0[i, 1]))
-            i1[i] = _count_signatures(result1.bits[:, None], chopped)[0]
-            i2[i] = _count_signatures(result2.bits[:, None], chopped)[0]
-            overload[i] = result1.overload_count + result2.overload_count
-        return i1, i2, overload
-
-    def _draw_noise(
-        self, channel: FirstOrderSigmaDelta, rngs
-    ) -> np.ndarray | None:
-        """Each job's modulator noise, drawn in the reference order.
-
-        The reference draws channel 1's window, then channel 2's, from
-        the job's stream — but only on the non-ideal branch; the caller
-        invokes this for channel 1 first.  Each window is written to a
-        contiguous device row; the result is the time-major view, one
-        device per column.
-        """
-        rms = channel.opamp.noise_rms
-        if _channel_is_ideal(channel, self._has_rng) or not self._has_rng or rms == 0.0:
-            return None
-        noise = np.zeros((len(rngs), self.mn))
-        for i, rng in enumerate(rngs):
-            if rng is not None:
-                noise[i] = rng.normal(0.0, rms, size=self.mn)
-        return noise.T
-
-    def _channel_counts(
-        self,
-        channel: FirstOrderSigmaDelta,
-        q: np.ndarray,
-        responses: np.ndarray,
-        u0: np.ndarray,
-        overload: np.ndarray,
-        noise: np.ndarray | None,
-    ) -> np.ndarray:
-        """One channel's signature counts for a block of response rows."""
-        chopped = self.config.chopped
-        if not _channel_is_ideal(channel, self._has_rng):
-            # The reference drive, (w + offset) + noise; a noiseless
-            # channel still adds 0.0, as the reference does.
-            drive = _modulated(q, responses)
-            drive += channel.opamp.offset
-            drive += 0.0 if noise is None else noise
-            if channel.is_leak_free():
-                bits, _ = channel.speculate_bits(drive, u0)
-            else:
-                bits = _nonideal_bits(channel, drive, u0)
-            return _count_signatures(bits, chopped)
-        half_span = 2.0 * channel.gain * channel.vref
-        fast = (
-            (overload == 0)
-            & (u0 >= -half_span)
-            & (u0 <= half_span * (1.0 - 1e-12))
-        )
-        counts = np.empty(len(u0), dtype=np.int64)
-        if fast.all():
-            return _closed_form_counts(channel, _modulated(q, responses), u0, chopped)
-        idx = np.flatnonzero(fast)
-        if len(idx):
-            counts[idx] = _closed_form_counts(
-                channel, _modulated(q, responses[idx]), u0[idx], chopped
-            )
-        for i in np.flatnonzero(~fast):
-            # Rare overload / out-of-range power-up state: run the
-            # reference scalar path for just that device (no RNG is
-            # consumed on the ideal branches).
-            result = channel.modulate(responses[i], q, u0=float(u0[i]))
-            counts[i] = _count_signatures(result.bits[:, None], chopped)[0]
-        return counts
 
     # ------------------------------------------------------------------
     def _intervals(

@@ -54,8 +54,6 @@ class SinewaveEvaluator:
     chopped:
         Offset-cancelling chopped counting (default True; False for the
         ablation benchmark).
-    strict_overload:
-        Raise instead of merely counting modulator overloads.
     """
 
     def __init__(
@@ -69,7 +67,6 @@ class SinewaveEvaluator:
         comparator_offset2: float = 0.0,
         rng: np.random.Generator | None = None,
         chopped: bool = True,
-        strict_overload: bool = False,
     ) -> None:
         if not isinstance(oversampling_ratio, int) or oversampling_ratio < 4:
             raise ConfigError(
@@ -83,7 +80,6 @@ class SinewaveEvaluator:
             opamp=opamp1,
             comparator_offset=comparator_offset1,
             rng=rng,
-            strict_overload=strict_overload,
         )
         self.channel2 = FirstOrderSigmaDelta(
             gain=gain,
@@ -91,7 +87,6 @@ class SinewaveEvaluator:
             opamp=opamp2,
             comparator_offset=comparator_offset2,
             rng=rng,
-            strict_overload=strict_overload,
         )
         self.chopped = chopped
         self.counter = SignatureCounter(chopped=chopped)

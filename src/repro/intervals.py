@@ -330,11 +330,16 @@ def angular_distance(x: float, y: float, period: float = TWO_PI) -> float:
 
     Always in ``[0, period/2]``; invariant under rotating both angles by
     the same amount and under adding any multiple of ``period`` to
-    either.
+    either.  NaN where the difference is infinite (an infinite angle, or
+    finite ones whose difference overflows), as in
+    :func:`angular_distance_array`.
     """
     if not period > 0:
         raise ConfigError(f"period must be positive, got {period!r}")
-    d = math.fmod(x - y, period)
+    difference = x - y
+    if math.isinf(difference):
+        return math.nan
+    d = math.fmod(difference, period)
     if d < 0:
         d += period
     return min(d, period - d)
@@ -350,7 +355,9 @@ def angular_gap(a: BoundedValue, b: BoundedValue, period: float = TWO_PI) -> flo
     linear representations sit on opposite sides of the branch cut
     (``[174, 186]`` degrees overlaps ``[-180, -178]`` degrees).  An arc
     spanning a full period covers the whole circle and overlaps
-    everything.
+    everything.  Otherwise the gap is NaN where the starts' difference
+    is infinite (finite starts whose difference overflows), as in
+    :func:`angular_gap_array`.
     """
     if not period > 0:
         raise ConfigError(f"period must be positive, got {period!r}")
@@ -359,7 +366,10 @@ def angular_gap(a: BoundedValue, b: BoundedValue, period: float = TWO_PI) -> flo
     if width_a >= period or width_b >= period:
         return 0.0
     # Place B's start relative to A's start, wrapped into [0, period).
-    start = math.fmod(b.lower - a.lower, period)
+    offset = b.lower - a.lower
+    if math.isinf(offset):
+        return math.nan
+    start = math.fmod(offset, period)
     if start < 0:
         start += period
     if start <= width_a or start + width_b >= period:
@@ -374,9 +384,8 @@ def angular_distance_array(
     """:func:`angular_distance` elementwise, bit for bit.
 
     Every step is the scalar form's own IEEE operation (subtract,
-    ``fmod``, add, compare), so each element equals the scalar result.
-    Where the scalar ``math.fmod`` raises (an infinite difference), the
-    element is NaN.
+    ``fmod``, add, compare), so each element equals the scalar result,
+    NaN where the difference is infinite included.
     """
     if not period > 0:
         raise ConfigError(f"period must be positive, got {period!r}")
@@ -401,9 +410,8 @@ def angular_gap_array(
     ``fmod``, addition and comparisons are used, each exact or
     correctly rounded as in the scalar form, and ``min`` keeps its
     first argument on ties, so each element equals
-    ``angular_gap(a, b, period)`` including the sign of zero.  Where the
-    scalar ``math.fmod`` raises (finite starts whose difference
-    overflows), the element is NaN.
+    ``angular_gap(a, b, period)`` including the sign of zero and the NaN
+    of an overflowing starts' difference.
     """
     if not period > 0:
         raise ConfigError(f"period must be positive, got {period!r}")

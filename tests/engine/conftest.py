@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.engine import vectorized
+from repro.evaluator import sigma_delta
 
 #: A strategy boundary low enough that the small fixtures of the
 #: equivalence and chunking tests put slots on both sides of it: chunks
@@ -15,18 +16,19 @@ SPLIT_AT = 3
 
 @pytest.fixture
 def slot_split(request, monkeypatch):
-    """Move the vectorized measurer's non-ideal strategy boundary.
+    """Move the modulators' device-axis boundary (``_BATCH_MIN_DEVICES``).
 
-    Parametrize indirectly with a slot size: non-ideal slots with fewer
-    devices run the per-device modulator, the rest the device-axis loop.
+    Parametrize indirectly with a slot size: slots of finite-gain or
+    incompletely settling channels with fewer devices run the per-device
+    sample loop, the rest the device-axis loop.
     ``None`` (or no parameter) keeps the shipped ``_BATCH_MIN_DEVICES``,
     which is above the slot sizes of the tests that use this fixture,
     so those runs take the per-device path throughout.
     """
     split = getattr(request, "param", None)
     if split is not None:
-        monkeypatch.setattr(vectorized, "_BATCH_MIN_DEVICES", split)
-    return vectorized._BATCH_MIN_DEVICES
+        monkeypatch.setattr(sigma_delta, "_BATCH_MIN_DEVICES", split)
+    return sigma_delta._BATCH_MIN_DEVICES
 
 
 #: A device block small enough that the fixtures' ideal-channel slots

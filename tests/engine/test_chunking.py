@@ -17,8 +17,9 @@ from repro.bist.program import BISTProgram
 from repro.core.config import AnalyzerConfig
 from repro.dut.active_rc import ActiveRCLowpass, design_mfb_lowpass
 from repro.dut.faults import fault_catalog
-from repro.engine import BatchRunner, vectorized
+from repro.engine import BatchRunner
 from repro.errors import ConfigError
+from repro.evaluator import sigma_delta
 from repro.obs import TraceRecorder
 from repro.sc.opamp import OpAmpModel
 
@@ -145,8 +146,8 @@ class TestExactChannelInvariance:
                     duts, config, FREQS, m_periods=M
                 )
             )
-            for split in (vectorized._BATCH_MIN_DEVICES, SPLIT_AT):
-                monkeypatch.setattr(vectorized, "_BATCH_MIN_DEVICES", split)
+            for split in (sigma_delta._BATCH_MIN_DEVICES, SPLIT_AT):
+                monkeypatch.setattr(sigma_delta, "_BATCH_MIN_DEVICES", split)
                 chunked = fault_signatures(
                     BatchRunner(backend="vectorized", chunk_size=3).run_fault_trials(
                         duts, config, FREQS, m_periods=M

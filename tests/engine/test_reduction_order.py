@@ -11,7 +11,7 @@ tests fail loudly if a NumPy upgrade changes it.
 import numpy as np
 import pytest
 
-from repro.engine.vectorized import _prefix_sums
+from repro.evaluator.sigma_delta import _prefix_sums
 
 #: Window lengths: odd and even, down to the smallest the closed form
 #: accepts, and the yield-lot window (m = 20, N = 96).

@@ -172,20 +172,75 @@ def test_threshold_ties_match_the_sample_loop(case):
     assert result.u_final == u_final
 
 
+def ideal_loop_states(gain, vref, w, u0):
+    """The ideal sample loop's state before each step, and after the last."""
+    states = [float(u0)]
+    gv = gain * vref
+    for wi in w.tolist():
+        u = states[-1]
+        states.append(u + (gain * wi - (gv if u >= 0.0 else -gv)))
+    return states
+
+
+def threshold_rounding_bound(gain, vref, n):
+    """The closed form's docstring bound on a loop state at the first step
+    the loop decides differently: ``2 (n + 2)**2 * 2**-53 * 2 g vref``."""
+    return 2 * (n + 2) ** 2 * 2.0**-53 * 2 * gain * vref
+
+
+def assert_floors_match_the_loop(gain, vref, x, q, u0):
+    """Same decisions and final state, or a first disagreement whose loop
+    state lies within the rounding bound of the threshold."""
+    result = FirstOrderSigmaDelta(gain=gain, vref=vref).modulate(x, q, u0=u0)
+    want = FirstOrderSigmaDelta(gain=gain, vref=vref, vectorized=False).modulate(
+        x, q, u0=u0
+    )
+    if result.bits.tobytes() == want.bits.tobytes():
+        assert result.u_final == want.u_final
+        return None
+    k = int(np.argmax(result.bits != want.bits))
+    state = ideal_loop_states(gain, vref, q * x, u0)[k]
+    assert abs(state) <= threshold_rounding_bound(gain, vref, len(x))
+    return k, state
+
+
 @settings(max_examples=300, deadline=None)
 @given(windows())
 def test_ideal_closed_form_matches_the_sample_loop(case):
-    """The ideal modulator's closed form against its own sample loop:
-    wherever they make the same decisions, the same final state to the
-    last bit.  (The floors can still decide a state within rounding of
-    the threshold differently from the loop; such windows are skipped.)"""
+    """The ideal modulator's closed form against its own sample loop."""
     gain, vref, _, _, x, q, u0, _ = case
-    fast = FirstOrderSigmaDelta(gain=gain, vref=vref)
-    loop = FirstOrderSigmaDelta(gain=gain, vref=vref, vectorized=False)
-    result = fast.modulate(x, q, u0=u0)
-    want = loop.modulate(x, q, u0=u0)
-    assume(result.bits.tobytes() == want.bits.tobytes())
-    assert result.u_final == want.u_final
+    assert_floors_match_the_loop(gain, vref, x, q, u0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([0.4, 0.25, 0.5]),
+    st.sampled_from([0.5, 1.0]),
+    st.integers(1, 400),
+    st.integers(0, 2**16),
+)
+def test_near_threshold_windows_disagree_only_within_rounding(gain, vref, n, seed):
+    """Inputs within a few ulp of zero keep the state on the threshold,
+    where the floors and the loop disagree on most windows."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-4e-16, 4e-16, n)
+    q = np.where(np.arange(n) % 12 < 6, 1.0, -1.0)
+    assert_floors_match_the_loop(gain, vref, x, q, 0.0)
+
+
+def test_reported_near_threshold_window():
+    """The reported case: gain 0.4, vref 0.5, a 96-sample window with
+    |x| < 4e-16 and u0 = 0.  At step 10 the loop's state is -1.39e-16, so
+    the loop decides -1 where the floors decide +1."""
+    n = 96
+    x = 3e-16 * np.sin(2 * np.pi * 2.0 * np.arange(n) / n)
+    q = np.where(np.arange(n) % 12 < 6, 1.0, -1.0)
+    step, state = assert_floors_match_the_loop(0.4, 0.5, x, q, 0.0)
+    assert step == 10
+    assert state == pytest.approx(-1.39e-16, rel=1e-2)
+    fast = FirstOrderSigmaDelta(gain=0.4, vref=0.5).modulate(x, q)
+    loop = FirstOrderSigmaDelta(gain=0.4, vref=0.5, vectorized=False).modulate(x, q)
+    assert (fast.bits[step], loop.bits[step]) == (1, -1)
 
 
 def test_ideal_closed_form_final_state_is_the_loops_sum():

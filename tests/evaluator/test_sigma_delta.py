@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ConfigError, EvaluationError
+from repro.errors import ConfigError
+from repro.evaluator.counters import SignatureCounter
 from repro.evaluator.sigma_delta import (
     FirstOrderSigmaDelta,
     PAPER_INTEGRATOR_GAIN,
@@ -140,11 +141,6 @@ class TestOverload:
         result = mod.modulate(x, np.ones(10))
         assert result.overload_count == 10
 
-    def test_strict_mode_raises(self):
-        mod = FirstOrderSigmaDelta(vref=0.5, strict_overload=True)
-        with pytest.raises(EvaluationError):
-            mod.modulate(np.full(10, 0.7), np.ones(10))
-
     def test_in_range_not_flagged(self):
         mod = FirstOrderSigmaDelta(vref=0.5)
         result = mod.modulate(np.full(10, 0.4), np.ones(10))
@@ -173,6 +169,73 @@ class TestNonidealModulator:
     def test_is_ideal_flag(self):
         assert FirstOrderSigmaDelta().is_ideal()
         assert not FirstOrderSigmaDelta(comparator_offset=1e-3).is_ideal()
+
+
+#: One case per branch of the rule in ``sigma_delta``'s docstring: the
+#: amplifier, whether the columns have noise streams, the column count,
+#: the kernel that must run, and whether some columns overload or start
+#: out of range (the ideal loop takes those, the closed form the rest).
+#: The non-ideal cases add a comparator offset.
+FINITE_GAIN = OpAmpModel(dc_gain=3000.0, settling_error=1e-3, noise_rms=1e-4)
+BRANCH_CASES = {
+    "closed-form": (OpAmpModel.ideal(), False, 6, "_closed_form_counts", False),
+    "ideal-loop": (OpAmpModel.ideal(), True, 6, "_ideal_loop", True),
+    "speculation": (
+        OpAmpModel(offset=2e-3, noise_rms=1e-4), True, 6, "speculate_bits", True
+    ),
+    "device-axis": (FINITE_GAIN, True, 40, "_nonideal_bits", True),
+    "per-column": (FINITE_GAIN, True, 3, "sequential_bits", True),
+}
+
+
+class TestSignatures:
+    """``signatures`` over many columns is ``modulate`` plus the signature
+    counter column by column, whichever branch encodes them."""
+
+    N = 192
+
+    def windows(self, columns, stray):
+        t = np.arange(self.N)[:, None]
+        amplitude = np.full(columns, 0.3)
+        u0 = np.linspace(-0.3, 0.3, columns)
+        if stray:
+            amplitude[1] = 0.7  # overloads vref = 0.5
+            u0[2] = 0.5  # beyond the state span 2 g vref = 0.4
+        x = amplitude * np.sin(2 * np.pi * t / 96.0 + np.linspace(0.0, 3.0, columns))
+        q = np.where(t[:, 0] % 96 < 48, 1.0, -1.0)
+        q[self.N // 2 :] *= -1.0
+        return np.ascontiguousarray(x), q, u0
+
+    @pytest.mark.parametrize("chopped", [True, False], ids=["chopped", "plain"])
+    @pytest.mark.parametrize("name", sorted(BRANCH_CASES))
+    def test_columns_match_modulate_and_count(self, monkeypatch, name, chopped):
+        amp, seeded, columns, kernel, stray = BRANCH_CASES[name]
+        x, q, u0 = self.windows(columns, stray)
+        ran = []
+        original = getattr(FirstOrderSigmaDelta, kernel)
+
+        def spy(*args):
+            ran.append(kernel)
+            return original(*args)
+
+        monkeypatch.setattr(FirstOrderSigmaDelta, kernel, spy)
+        seeds = range(10, 10 + columns)
+        rngs = [np.random.default_rng(s) if seeded else None for s in seeds]
+        offset = 0.0 if amp == OpAmpModel.ideal() else -1e-3
+        modulator = FirstOrderSigmaDelta(opamp=amp, comparator_offset=offset)
+        counts, overload = modulator.signatures(q[:, None] * x, u0, rngs, chopped)
+        assert ran, f"{kernel} did not run"
+        counter = SignatureCounter(chopped=chopped)
+        for j, seed in enumerate(seeds):
+            rng = np.random.default_rng(seed) if seeded else None
+            column = FirstOrderSigmaDelta(
+                opamp=amp, comparator_offset=offset, rng=rng
+            ).modulate(x[:, j], q, u0=u0[j])
+            assert counts[j] == counter.count(column.bits).signature
+            assert overload[j] == column.overload_count
+            if seeded:
+                assert rngs[j].bit_generator.state == rng.bit_generator.state
+        assert overload.any() == stray
 
 
 class TestSecondOrder:

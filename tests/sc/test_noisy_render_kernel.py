@@ -3,11 +3,11 @@
 The noisy generator render (:meth:`SCBiquad.draw_noise` +
 :meth:`SCBiquad.render_row`) and the non-ideal modulators (the per-sample
 branch of :meth:`FirstOrderSigmaDelta.modulate` and the device-axis
-``_nonideal_bits``) run on Python floats and preallocated buffers.  The
-oracles below are transcriptions of the loops they replaced: the
-per-step ``SCBiquad.step`` with scalar noise draws, the device-axis
-render matrix of the population backend, the NumPy-scalar modulator
-loop and the ``np.clip``/``np.where`` device-axis modulator.  Every
+``FirstOrderSigmaDelta._nonideal_bits``) run on Python floats and
+preallocated buffers.  The oracles below are transcriptions of the
+loops they replaced: the per-step ``SCBiquad.step`` with scalar noise
+draws, the device-axis render matrix of the population backend, the
+NumPy-scalar modulator loop and the ``np.clip``/``np.where`` device-axis modulator.  Every
 output must match bit for bit, and the RNG must end in the same state.
 (For noise-only amplifiers ``modulate`` runs the verified speculation
 kernel, which ``tests/evaluator/test_noise_only_kernel.py`` checks in
@@ -23,7 +23,7 @@ from repro.core.config import AnalyzerConfig
 from repro.dut.active_rc import ActiveRCLowpass
 from repro.dut.faults import fault_catalog
 from repro.engine import BatchRunner
-from repro.engine import vectorized
+from repro.evaluator import sigma_delta
 from repro.evaluator.sigma_delta import FirstOrderSigmaDelta
 from repro.generator.design import PAPER_CAPACITORS
 from repro.sc.biquad import SCBiquad
@@ -348,11 +348,12 @@ class TestModulators:
         # The kernel is time-major, one device per column, and takes the
         # reference drive (w + offset) + noise.
         drive = (np.ascontiguousarray(w.T) + amp.offset) + noise.T
-        got = vectorized._nonideal_bits(channel, drive, u0)
+        got, final = channel._nonideal_bits(drive, u0)
         assert np.ascontiguousarray(got.T).tobytes() == want.tobytes()
         for i in range(n_devices):
-            bits, _, _ = old_modulate(channel, w[i], u0[i], noise[i])
+            bits, u_final, _ = old_modulate(channel, w[i], u0[i], noise[i])
             assert got[:, i].tobytes() == bits.tobytes()
+            assert final[i] == u_final
 
     def test_device_axis_noiseless_adds_zero(self):
         """A drive with ``+ 0.0`` for noise is the old loop fed a zero
@@ -363,7 +364,7 @@ class TestModulators:
         u0 = np.array([0.0, -0.0, 0.1])
         want = old_nonideal_bits(channel, w, u0, np.zeros_like(w))
         drive = (np.ascontiguousarray(w.T) + channel.opamp.offset) + 0.0
-        got = vectorized._nonideal_bits(channel, drive, u0)
+        got, _ = channel._nonideal_bits(drive, u0)
         assert np.ascontiguousarray(got.T).tobytes() == want.tobytes()
 
 
@@ -410,7 +411,7 @@ class TestSlotStrategies:
         reference = BatchRunner().run_fault_trials(
             duts, config, [frequency], m_periods=self.M
         )
-        monkeypatch.setattr(vectorized, "_BATCH_MIN_DEVICES", threshold)
+        monkeypatch.setattr(sigma_delta, "_BATCH_MIN_DEVICES", threshold)
         batched = BatchRunner(backend="vectorized").run_fault_trials(
             duts, config, [frequency], m_periods=self.M
         )

@@ -18,7 +18,9 @@ from repro.intervals import (
     BoundedArray,
     BoundedValue,
     angular_distance,
+    angular_distance_array,
     angular_gap,
+    angular_gap_array,
     angular_overlap,
     atan2_array,
     atan2_interval,
@@ -141,6 +143,40 @@ def test_distance_matches_point_interval_gap(x, y):
         BoundedValue.exact(x), BoundedValue.exact(y), 360.0
     )
     assert gap == pytest.approx(angular_distance(x, y, 360.0), abs=1e-9)
+
+
+#: Arc endpoint pairs where the circle and the floats are at their edges:
+#: the branch cut, full circles, signed zeros, and starts whose
+#: difference overflows (the gap and the distance are NaN there).
+EDGE_ARCS = [
+    ((174.0, 186.0), (-180.0, -178.0)),
+    ((0.0, 360.0), (12.0, 13.0)),
+    ((5.0, 5.0), (6.0, 6.0)),
+    ((-0.0, 0.0), (0.0, -0.0)),
+    ((0.0, 1.0), (-1.0, -0.0)),
+    ((-1e308, -1e308), (1e308, 1e308)),
+    ((1e308, 1e308), (-1e308, -1e308)),
+    ((-1.7e308, -1.7e308), (1.7e308, 1.7e308)),
+]
+
+
+def same_float(x: float, y) -> bool:
+    """Equal bit for bit (signed zeros apart), or both NaN of any payload."""
+    y = float(y)
+    if math.isnan(x) or math.isnan(y):
+        return math.isnan(x) and math.isnan(y)
+    return np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+@pytest.mark.parametrize("arc_a, arc_b", EDGE_ARCS)
+def test_scalar_and_array_forms_agree(arc_a, arc_b):
+    """Never an exception; NaN where the starts' difference overflows."""
+    a, b = (BoundedValue(lower, lower, upper) for lower, upper in (arc_a, arc_b))
+    gap = angular_gap(a, b, 360.0)
+    assert same_float(gap, angular_gap_array(a.lower, a.upper, b.lower, b.upper, 360.0))
+    distance = angular_distance(a.lower, b.lower, 360.0)
+    assert same_float(distance, angular_distance_array(a.lower, b.lower, 360.0))
+    assert math.isnan(gap) == math.isnan(distance) == math.isinf(b.lower - a.lower)
 
 
 class TestAngularCases:
