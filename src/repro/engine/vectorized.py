@@ -12,7 +12,16 @@ operations:
   clock — the same fact that makes the paper's one-off calibration
   valid), so a single render serves every device and every sweep
   frequency; each job's lead-in is a prefix of the same sequence.
-* **Stacked DUT kernel.**  A slot takes its devices as one
+* **The probe axis.**  :meth:`PopulationMeasurer.measure` takes a
+  population, a ``(probes x devices)`` tone table and the devices' job
+  streams, and measures every ``probes * devices`` row in one call,
+  probe-major: row ``p * devices + i`` is device ``i`` at probe ``p``.
+  A fault or pseudorandom campaign chunk and a yield-lot chunk make one
+  call for all their probe frequencies; a sweep chunk passes one probe
+  row whose devices are its points.  The per-call work below (the
+  stacked discretization, the interval and compensation chain) is
+  therefore paid once per chunk, not once per probe.
+* **Stacked DUT kernel.**  A call takes its devices as one
   :class:`~repro.dut.statespace.Population`, built once per chunk:
   state-space models stacked by order, each row's settling time and
   routing.  Sweeps and fault campaigns stack their DUT list
@@ -20,45 +29,50 @@ operations:
   from its component draw straight to the stacked form
   (:func:`~repro.dut.active_rc.lot_population`), with no per-device
   DUT objects.  The exact-ZOH z-domain coefficients come from one
-  :func:`~repro.dut.statespace.zoh_transfer` call per stack and the
-  truly-good verdicts from one stacked solve per probe frequency — the
-  arithmetic the reference backend runs per device, one row at a
-  time.  Each device then keeps its own ``lfilter`` over the shared
-  stimulus prefix (minus the final-state recovery the population path
-  never observes); rows without a model go through
+  :func:`~repro.dut.statespace.zoh_transfer` call per stack over every
+  probe and the truly-good verdicts from one stacked solve per probe
+  frequency — the arithmetic the reference backend runs per device,
+  one row at a time.  Each row then keeps its own ``lfilter`` over the
+  shared stimulus prefix (minus the final-state recovery the
+  population path never observes), its coefficients indexed out of
+  the stacked arrays; rows without a model go through
   :meth:`~repro.dut.base.DUT.batch_response`.
-* **Population-batched modulators.**  Each channel of a device block is
+* **Population-batched modulators.**  Each channel of a row block is
   one call of
   :meth:`~repro.evaluator.sigma_delta.FirstOrderSigmaDelta.signatures`,
   whose module states the branch rule and the kernels it picks.
-* **Cache-sized blocks, counted time-major.**  Every slot fills one
-  reused ``(block x mn)`` buffer, one device per row; each channel's
-  ``q *`` modulation writes its working copy transposed, ``(mn x
-  block)``, so a time step is a contiguous row for both the closed
-  form and the device-axis recurrence.  A slot of ideal or noise-only
-  channels is walked in blocks of ``_BLOCK_DEVICES`` devices, each
-  block's power-up states and channel noise drawn and counts taken
-  while its rows are still in cache, so no ``(devices x mn)`` matrix
-  exists and the slot's peak footprint follows the block, not the
-  slot.  The device-axis recurrence of finite-gain or incompletely
-  settling channels needs every device at once, so such a slot is one
-  block.
+* **Cache-sized blocks, counted time-major.**  Every call fills one
+  reused ``(block x mn)`` buffer, one row each; each channel's ``q *``
+  modulation writes its working copy transposed, ``(mn x block)``, so a
+  time step is a contiguous row for both the closed form and the
+  device-axis recurrence.  Ideal or noise-only channels are walked in
+  blocks of ``_BLOCK_DEVICES`` probe-major rows, each block's power-up
+  states and channel noise drawn and counts taken while its rows are
+  still in cache, so no ``(rows x mn)`` matrix exists and the peak
+  footprint follows the block, not the call.  The block rule: blocks
+  run across probe boundaries, but a block never holds two rows of one
+  job stream (with streams, at most ``devices`` rows), so each stream
+  is still drawn probe by probe.  The device-axis recurrence of
+  finite-gain or incompletely settling channels needs every device at
+  once, so there each probe is one block.
 * **Array interval arithmetic.**  Signatures become bounded gain/phase
   through :class:`~repro.intervals.BoundedArray` — one set of array
-  expressions for the whole population instead of per-device
+  expressions for every row of a call instead of per-device
   :class:`~repro.intervals.BoundedValue` chains.
-  :meth:`PopulationMeasurer.measure` returns a slot in this array
-  form; sweeps and fault campaigns box it into per-device measurements
-  (:meth:`PopulationMeasurer.box`), while a yield lot judges the gain
-  arrays with the go/no-go rule on Python floats.
+  :meth:`PopulationMeasurer.measure` returns its rows in this array
+  form; sweeps and fault campaigns box them into per-device
+  measurements (:meth:`PopulationMeasurer.box`), while a yield lot
+  judges the gain arrays, split per probe, with the go/no-go rule on
+  Python floats.
 
 Equivalence contract
 --------------------
 The backend reproduces the reference path's *acquisition* exactly: the
 per-job derived noise substreams are consumed in the same order (each
-slot entry owns its stream, so block-by-block draws keep every stream's
-render, power-up state, channel noise order; a slot whose entries
-share a stream is rejected), the shared stimulus prefix is
+device owns its stream and no block holds two rows of one stream, so
+block-by-block draws keep every stream's per-probe render, power-up
+state, channel noise order; a call whose devices share a stream is
+rejected), the shared stimulus prefix is
 bit-identical to each job's private render, and the batched
 modulators produce bit-identical bitstreams — so the
 integer signatures (and verdict-relevant counts) are **exactly equal**
@@ -142,7 +156,7 @@ def _modulated(q: np.ndarray, responses: np.ndarray) -> np.ndarray:
     return out
 
 
-#: Devices per block of an ideal or noise-only slot (see
+#: Rows per block of ideal or noise-only channels (see
 #: ``PopulationMeasurer._counts``): the block's response rows and the
 #: per-channel time-major working copy stay cache-resident instead of
 #: streaming a ``(devices x mn)`` matrix through memory.
@@ -158,9 +172,10 @@ _BLOCK_DEVICES = 64
 
 
 class SlotArrays(NamedTuple):
-    """One measured slot in array form (element ``i`` is entry ``i``)."""
+    """One measured call in array form, one element per probe-major row:
+    element ``p * devices + i`` is device ``i`` at probe ``p``."""
 
-    fwaves: list[float]
+    tones: np.ndarray
     i1: np.ndarray
     i2: np.ndarray
     overload: np.ndarray
@@ -174,17 +189,17 @@ class PopulationMeasurer:
     """Batched gain/phase measurement of a device population.
 
     One measurer is bound to ``(config, m_periods, calibration)`` — the
-    invariants of a campaign — and measures *slots*: a stacked
-    :class:`~repro.dut.statespace.Population` with one tone frequency
-    and one noise stream per row, evaluated together as array batches.
-    A fault campaign or yield lot calls one slot per probe frequency
-    (the population axis is devices); a sweep calls a single slot whose
-    population axis is the sweep points themselves.
+    invariants of a campaign — and measures a stacked
+    :class:`~repro.dut.statespace.Population` at a ``(probes x
+    devices)`` tone table, every row evaluated together as array
+    batches.  A fault campaign or yield lot chunk makes one call with
+    one probe row per frequency (the device axis is devices); a sweep
+    passes one probe row whose devices are the sweep points themselves.
 
-    The per-row ``rng`` is the job's private noise stream (or None);
-    streams are consumed across consecutive slots in exactly the order
-    the reference per-job path consumes them, which is what makes the
-    batched results match the reference backend.
+    Each device's ``rng`` is its job's private noise stream (or None);
+    it is consumed probe by probe in exactly the order the reference
+    per-job path consumes it, which is what makes the batched results
+    match the reference backend.
     """
 
     def __init__(
@@ -216,7 +231,7 @@ class PopulationMeasurer:
             and config.generator_opamp.noise_rms != 0.0
         )
         # Channels that are not leak-free step through time across every
-        # column of a call: such a slot is one block.
+        # column of a call: each probe is one block.
         self._looped_channels = not all(
             channel.is_leak_free()
             for channel in (self.evaluator.channel1, self.evaluator.channel2)
@@ -254,7 +269,7 @@ class PopulationMeasurer:
         return generator
 
     def reserve(self, population: Population, fwaves) -> None:
-        """Prepare the shared stimulus for a slot set: call before measuring.
+        """Prepare the shared stimulus for a call: call before measuring.
 
         The generator's sample values depend only on the period count —
         not on the master clock (every internal rate is a fixed ratio of
@@ -262,14 +277,14 @@ class PopulationMeasurer:
         longer render extends a shorter one sample-for-sample (the
         recurrences are causal).  One cached render of the worst
         lead-in of ``population`` at ``fwaves`` therefore serves every
-        device, lead-in and frequency of its slots as a prefix.  A noisy
+        device, lead-in and probe of its calls as a prefix.  A noisy
         generator renders per device from the template die built here
         (see :meth:`_noisy_held`).
 
         This is the only method that changes the measurer: the render
         only ever grows, so :meth:`measure` calls running concurrently
         on one measurer (the chunks of one batch on a thread pool) only
-        read it, provided each slot was reserved before it was handed
+        read it, provided each call was reserved before it was handed
         out.
         """
         fwaves = [float(f) for f in fwaves]
@@ -286,39 +301,51 @@ class PopulationMeasurer:
             ).samples
 
     # ------------------------------------------------------------------
-    # One batched slot
+    # One batched call
     # ------------------------------------------------------------------
-    def measure(self, population: Population, fwaves, rngs) -> SlotArrays:
-        """Measure one slot, batched: row ``i`` of ``population`` at tone
-        ``fwaves[i]`` on the job noise stream ``rngs[i]`` (or None).
+    def measure(self, population: Population, tones, rngs) -> SlotArrays:
+        """Measure ``population`` at every probe of ``tones``, batched.
 
-        The result stays in array form: sweeps and fault campaigns box
-        it per device (:meth:`box`); a yield lot reads only the gain
+        ``tones`` is a ``(probes x devices)`` table (a flat sequence is
+        one probe): row ``p`` holds each device's tone at probe ``p``.
+        ``rngs[i]`` is device ``i``'s job noise stream (or None), drawn
+        probe by probe in the reference order.  The result's rows are
+        probe-major: row ``p * devices + i`` is device ``i`` at probe
+        ``p``.  It stays in array form: sweeps and fault campaigns box
+        it per row (:meth:`box`); a yield lot reads only the gain
         bounds, so it takes the arrays as they are.
         """
-        fwaves = [float(f) for f in fwaves]
+        tones = np.array(tones, dtype=float, ndmin=2)
         rngs = list(rngs)
-        if not len(population):
+        devices = len(population)
+        if not devices:
             raise ConfigError("population slot is empty")
-        if not len(fwaves) == len(rngs) == len(population):
+        if (
+            tones.ndim != 2
+            or not len(tones)
+            or tones.shape[1] != devices
+            or len(rngs) != devices
+        ):
             raise ConfigError(
-                f"population slot of {len(population)} rows got "
-                f"{len(fwaves)} tones and {len(rngs)} noise streams"
+                f"population slot of {devices} devices got a {tones.shape} "
+                f"tone table and {len(rngs)} noise streams"
             )
         streams = [rng for rng in rngs if rng is not None]
         if len({id(rng) for rng in streams}) != len(streams):
             # Each block draws its rows' streams (render, power-up
-            # state, channel noise) before the next block's: that is
-            # each job's reference order only if no stream is shared.
+            # state, channel noise) before the next block's, at most one
+            # row per device: that is each job's reference order only
+            # if no two devices share a stream.
             raise ConfigError("population slot entries must not share a noise stream")
-        i1, i2, overload = self._counts(population, fwaves, rngs)
+        probes = len(tones)
+        i1, i2, overload = self._counts(population, tones, rngs)
         amplitude, phase = self._intervals(i1, i2)
         if self.config.image_compensation:
             amplitude, phase = self._compensate(
-                amplitude, phase, population.continuous
+                amplitude, phase, np.tile(population.continuous, probes)
             )
         return SlotArrays(
-            fwaves=fwaves,
+            tones=tones.ravel(),
             i1=i1,
             i2=i2,
             overload=overload,
@@ -329,10 +356,10 @@ class PopulationMeasurer:
         )
 
     def box(self, slot: SlotArrays) -> list[GainPhaseMeasurement]:
-        """A measured slot as one :class:`GainPhaseMeasurement` per entry."""
+        """A measured call as one :class:`GainPhaseMeasurement` per row."""
         config = self.config
         results = []
-        for i, fwave in enumerate(slot.fwaves):
+        for i, fwave in enumerate(slot.tones.tolist()):
             signature = SignaturePair(
                 i1=int(slot.i1[i]),
                 i2=int(slot.i2[i]),
@@ -367,32 +394,42 @@ class PopulationMeasurer:
         return results
 
     def _counts(
-        self, population: Population, fwaves: list[float], rngs: list
+        self, population: Population, tones: np.ndarray, rngs: list
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The slot's signature and overload counts, one device block at a
-        time.
+        """Every row's signature and overload counts, one block of rows at
+        a time.
 
-        Ideal and noise-only channels treat every device on its own, so
-        the slot walks blocks of ``_BLOCK_DEVICES`` rows through one
-        reused response buffer and counts each block while it is still
-        in cache; the device-axis recurrence of finite-gain or
-        incompletely settling channels needs every device at once, so
-        there the whole slot is one block.
+        Ideal and noise-only channels treat every row on its own, so the
+        call walks blocks of ``_BLOCK_DEVICES`` probe-major rows through
+        one reused response buffer and counts each block while it is
+        still in cache.  Blocks run across probe boundaries, but a block
+        whose rows carry noise streams holds at most one probe's worth of
+        rows, so no block holds two rows of one stream and each stream is
+        drawn probe by probe.  The device-axis recurrence of finite-gain
+        or incompletely settling channels needs every device at once, so
+        there each probe is one block.
         """
-        n_devices = len(population)
-        fill = self._row_filler(population, fwaves, rngs)
-        block = n_devices if self._looped_channels else _BLOCK_DEVICES
-        buffer = np.empty((min(block, n_devices), self.mn))
-        i1 = np.empty(n_devices, dtype=np.int64)
-        i2 = np.empty(n_devices, dtype=np.int64)
-        overload = np.empty(n_devices, dtype=np.int64)
-        for start in range(0, n_devices, block):
-            stop = min(start + block, n_devices)
+        probes, devices = tones.shape
+        n_rows = probes * devices
+        fill = self._row_filler(population, tones, rngs)
+        if self._looped_channels:
+            block = devices
+        elif any(rng is not None for rng in rngs):
+            block = min(_BLOCK_DEVICES, devices)
+        else:
+            block = _BLOCK_DEVICES
+        buffer = np.empty((min(block, n_rows), self.mn))
+        i1 = np.empty(n_rows, dtype=np.int64)
+        i2 = np.empty(n_rows, dtype=np.int64)
+        overload = np.empty(n_rows, dtype=np.int64)
+        for start in range(0, n_rows, block):
+            stop = min(start + block, n_rows)
             responses = buffer[: stop - start]
-            for i in range(start, stop):
-                fill(i, responses[i - start])
+            fill(start, responses)
             i1[start:stop], i2[start:stop], overload[start:stop] = (
-                self._block_counts(rngs[start:stop], responses)
+                self._block_counts(
+                    [rngs[r % devices] for r in range(start, stop)], responses
+                )
             )
         return i1, i2, overload
 
@@ -420,68 +457,95 @@ class PopulationMeasurer:
         return i1, i2, overload1 + overload2
 
     # ------------------------------------------------------------------
-    def _row_filler(self, population: Population, fwaves: list[float], rngs: list):
-        """``fill(i, out)``: write row ``i``'s measurement window of its
-        response into the buffer row ``out``.
+    def _row_filler(self, population: Population, tones: np.ndarray, rngs: list):
+        """``fill(start, out)``: write the measurement windows of rows
+        ``start, start + 1, ...`` of their responses into the buffer rows
+        ``out``.
 
         State-space rows take their z-domain coefficients from one
         stacked :func:`~repro.dut.statespace.zoh_transfer` call per
-        stack for the whole slot — the kernel ``StateSpaceDUT.process``
-        runs with one row — and keep their own ``lfilter``; other rows
-        go through their device's ``batch_response``.  Each row's lead-in
-        is its settling time in whole tone periods, as the analyzer
-        rounds it.  The held input is the shared stimulus prefix, or for
-        a noisy generator the device's own render (:meth:`_noisy_held`).
+        stack for every probe of the call — the kernel
+        ``StateSpaceDUT.process`` runs with one row — and keep their own
+        ``lfilter``; other rows go through their device's
+        ``batch_response``.  Each row's lead-in is its settling time in
+        whole tone periods, as the analyzer rounds it.  The held input
+        is the shared stimulus prefix, or for a noisy generator the
+        row's own render (:meth:`_noisy_held`).
         """
         m = self.m_periods
         n = OVERSAMPLING_RATIO
         mn = self.mn
-        tones = np.array(fwaves)
-        leads = np.ceil(population.settle * tones).astype(int).tolist()
-        coefficients: list = [None] * len(population)
-        for rows, stack in population.stacks:
-            num, den = zoh_transfer(
-                stack.a, stack.b, stack.c, stack.d, 1.0 / (tones[rows] * n)
+        probes, devices = tones.shape
+        flat = tones.ravel()
+        leads = np.ceil(np.tile(population.settle, probes) * flat).astype(int)
+        # Row r's coefficients are row position[r] of stack stack_of[r]'s
+        # (num, den); -1 marks a row without a state-space model.
+        stack_of = np.full(len(flat), -1)
+        position = np.zeros(len(flat), dtype=int)
+        transfers = []
+        offsets = devices * np.arange(probes)[:, None]
+        for s, (rows, stack) in enumerate(population.stacks):
+            rows = (rows + offsets).ravel()
+            transfers.append(
+                zoh_transfer(
+                    np.tile(stack.a, (probes, 1, 1)),
+                    np.tile(stack.b, (probes, 1)),
+                    np.tile(stack.c, (probes, 1)),
+                    np.tile(stack.d, probes),
+                    1.0 / (flat[rows] * n),
+                )
             )
-            for k, i in enumerate(rows.tolist()):
-                coefficients[i] = (num[k], den[k])
+            stack_of[rows] = s
+            position[rows] = np.arange(len(rows))
+        longest = int(leads.max())
         if self._noisy_generator:
-            held_input = self._noisy_held(rngs, leads)
+            held_input = self._noisy_held(rngs, longest)
         else:
             stimulus = self._stimulus
-            if len(stimulus) < (max(leads) + m) * n:
+            if len(stimulus) < (longest + m) * n:
                 raise ConfigError(
                     "population slot needs a longer stimulus than was "
                     "reserved; call PopulationMeasurer.reserve first"
                 )
 
-            def held_input(i: int) -> np.ndarray:
-                return stimulus[: (leads[i] + m) * n]
+            def held_input(r: int, lead: int) -> np.ndarray:
+                return stimulus[: (lead + m) * n]
 
-        def fill(i: int, out: np.ndarray) -> None:
-            held = held_input(i)
-            if coefficients[i] is None:
-                output = population.others[i].batch_response(held, fwaves[i] * n)
-            else:
-                output = lfilter(*coefficients[i], held)
-            start = leads[i] * n
-            out[:] = output[start : start + mn]
+        def fill(start: int, out: np.ndarray) -> None:
+            stop = start + len(out)
+            for row, r, lead, s, k in zip(
+                out,
+                range(start, stop),
+                leads[start:stop].tolist(),
+                stack_of[start:stop].tolist(),
+                position[start:stop].tolist(),
+            ):
+                held = held_input(r, lead)
+                if s < 0:
+                    device = population.others[r % devices]
+                    output = device.batch_response(held, float(flat[r]) * n)
+                else:
+                    num, den = transfers[s]
+                    output = lfilter(num[k], den[k], held)
+                row[:] = output[lead * n : lead * n + mn]
 
         return fill
 
-    def _noisy_held(self, rngs: list, leads: list[int]):
-        """``held_input(i)``: device ``i``'s own noise-perturbed stimulus.
+    def _noisy_held(self, rngs: list, longest: int):
+        """``held_input(r, lead)``: row ``r``'s own noise-perturbed
+        stimulus, for a lead-in of ``lead <= longest`` periods.
 
         A noisy generator gives every job its own stimulus: the biquad's
         two amplifiers each draw one noise sample per generator step
-        from the job's private RNG.  Each device's render is the
-        reference :meth:`~repro.sc.biquad.SCBiquad.render_row` kernel
-        over the shared charge sequence, fed by that device's bulk
+        from the job's private RNG (device ``r % len(rngs)``'s).  Each
+        row's render is the reference
+        :meth:`~repro.sc.biquad.SCBiquad.render_row` kernel over the
+        shared charge sequence, fed by that job's bulk
         :meth:`~repro.sc.biquad.SCBiquad.draw_noise` (the reference draw
-        order), and it runs only the ``(settle + lead + m)`` periods
-        that device needs — so every render is bit-identical to the
-        private render its reference job performs, and no device pays
-        for the slot's longest lead-in.
+        order), and it runs only the ``(settle + lead + m)`` periods that
+        row needs — so every render is bit-identical to the private
+        render its reference job performs, and no row pays for the
+        call's longest lead-in.
         """
         m = self.m_periods
         settle_head = self.config.generator_settle_periods
@@ -491,15 +555,18 @@ class PopulationMeasurer:
                 "population slot measured before PopulationMeasurer.reserve"
             )
         biquad = generator.biquad
-        steps = [(settle_head + lead + m) * GENERATOR_STEPS for lead in leads]
-        charges = generator.control.charge_sequence(max(steps)).tolist()
+        charges = generator.control.charge_sequence(
+            (settle_head + longest + m) * GENERATOR_STEPS
+        ).tolist()
         hold = OVERSAMPLING_RATIO // GENERATOR_STEPS
         head = settle_head * GENERATOR_STEPS
+        devices = len(rngs)
 
-        def held_input(i: int) -> np.ndarray:
-            noise1, noise2 = biquad.draw_noise(rngs[i], steps[i])
-            out, _, _ = biquad.render_row(charges[: steps[i]], noise1, noise2)
-            return np.repeat(out[head:], hold)
+        def held_input(r: int, lead: int) -> np.ndarray:
+            steps = (settle_head + lead + m) * GENERATOR_STEPS
+            noise1, noise2 = biquad.draw_noise(rngs[r % devices], steps)
+            out, _, _ = biquad.render_row(charges[:steps], noise1, noise2)
+            return np.fromiter(out, float, len(out))[head:].repeat(hold)
 
         return held_input
 
@@ -558,7 +625,8 @@ def run_sweep_vectorized(
     measurer: PopulationMeasurer,
     start_index: int = 0,
 ) -> list[GainPhaseMeasurement]:
-    """One chunk of a frequency sweep as one slot (points are the axis).
+    """One chunk of a frequency sweep as one probe row (points are the
+    device axis).
 
     ``population`` stacks the swept device once per point and
     ``start_index`` is the seed index of point 0, so a chunk keeps every
@@ -569,7 +637,7 @@ def run_sweep_vectorized(
         _job_rng(measurer.config, "sweep", start_index + i)
         for i in range(len(frequencies))
     ]
-    return measurer.box(measurer.measure(population, frequencies, rngs))
+    return measurer.box(measurer.measure(population, [frequencies], rngs))
 
 
 def run_fault_trials_vectorized(
@@ -579,8 +647,8 @@ def run_fault_trials_vectorized(
     start_index: int = 0,
     stream: str = "fault",
 ) -> list[tuple[GainPhaseMeasurement, ...]]:
-    """One chunk of a fault campaign, one slot per probe frequency
-    (devices are the axis).
+    """One chunk of a fault campaign as one call over every probe
+    frequency (devices are the axis).
 
     ``stream`` names the per-job seed substream; pseudorandom-BIST
     campaigns pass ``"prbist"`` so each device consumes exactly the
@@ -589,11 +657,10 @@ def run_fault_trials_vectorized(
     """
     n = len(population)
     rngs = [_job_rng(measurer.config, stream, start_index + i) for i in range(n)]
-    per_frequency = [
-        measurer.box(measurer.measure(population, [f] * n, rngs))
-        for f in frequencies
-    ]
-    return [tuple(slot[i] for slot in per_frequency) for i in range(n)]
+    rows = measurer.box(
+        measurer.measure(population, _probe_table(frequencies, n), rngs)
+    )
+    return [tuple(rows[i::n]) for i in range(n)]
 
 
 def run_trials_vectorized(
@@ -603,15 +670,16 @@ def run_trials_vectorized(
     measurer: PopulationMeasurer,
     start_index: int = 0,
 ) -> list:
-    """One chunk of a Monte-Carlo lot, one slot per program frequency.
+    """One chunk of a Monte-Carlo lot as one call over every program
+    frequency.
 
     ``population`` is the chunk in stacked form — the dispatcher draws
     its component values exactly as the reference path draws them (one
     seeded RNG, device order), which keeps the population identical
     across backends *and* across chunk boundaries
     (:func:`repro.dut.active_rc.lot_population`); the measurements then
-    run as one slot per program frequency, and the go/no-go verdicts
-    come from the slots' gain arrays through the same tri-state
+    run as one call, and the go/no-go verdicts come from its gain
+    arrays, split per program frequency, through the same tri-state
     interval rule (:func:`repro.bist.program.lot_verdicts`).
     ``start_index`` is the lot index of row 0.
     """
@@ -619,16 +687,17 @@ def run_trials_vectorized(
     from ..bist.program import lot_verdicts
 
     n = len(population)
+    frequencies = program.frequencies
     job_rngs = [
         _job_rng(measurer.config, "trial", start_index + i) for i in range(n)
     ]
-    truly_good = _truly_good(population, mask, program.frequencies)
-    gains = [
-        measurer.measure(population, [f] * n, job_rngs).gain
-        for f in program.frequencies
-    ]
+    truly_good = _truly_good(population, mask, frequencies)
+    gain = measurer.measure(
+        population, _probe_table(frequencies, n), job_rngs
+    ).gain
     verdicts = lot_verdicts(
-        gains, [program.mask.limits_at(f) for f in program.frequencies]
+        gain.split(len(frequencies)),
+        [program.mask.limits_at(f) for f in frequencies],
     )
     return [
         DeviceTrial(
@@ -638,3 +707,9 @@ def run_trials_vectorized(
         )
         for i, (verdict, good) in enumerate(zip(verdicts, truly_good))
     ]
+
+
+def _probe_table(frequencies, devices: int) -> np.ndarray:
+    """The ``(probes x devices)`` tone table of every device at every
+    probe frequency."""
+    return np.repeat(np.array(frequencies, dtype=float)[:, None], devices, axis=1)

@@ -85,13 +85,20 @@ class BoundedValue:
 
     @classmethod
     def from_bounds(cls, lower: float, upper: float, value: float | None = None) -> "BoundedValue":
-        """Interval from endpoints; point estimate defaults to the midpoint."""
+        """Interval from endpoints; point estimate defaults to the midpoint.
+
+        The midpoint is ``0.5 * (lower + upper)``, or ``0.5 * lower + 0.5
+        * upper`` where that sum overflows between finite bounds.
+        """
         lower = float(lower)
         upper = float(upper)
         if lower > upper:
             raise ConfigError(f"lower bound {lower} exceeds upper bound {upper}")
         if value is None:
             value = 0.5 * (lower + upper)
+            finite = math.isfinite(lower) and math.isfinite(upper)
+            if finite and not math.isfinite(value):
+                value = 0.5 * lower + 0.5 * upper
         return cls(float(value), lower, upper)
 
     # ------------------------------------------------------------------
@@ -514,6 +521,17 @@ class BoundedArray:
         return BoundedValue(
             float(self.value[i]), float(self.lower[i]), float(self.upper[i])
         )
+
+    def split(self, parts: int) -> list["BoundedArray"]:
+        """``parts`` equal consecutive pieces, in order (``np.split``)."""
+        return [
+            BoundedArray(value, lower, upper)
+            for value, lower, upper in zip(
+                np.split(self.value, parts),
+                np.split(self.lower, parts),
+                np.split(self.upper, parts),
+            )
+        ]
 
     # ------------------------------------------------------------------
     # Arithmetic (elementwise, conservative)

@@ -58,6 +58,24 @@ class TestConstruction:
         bv = BoundedValue.from_bounds(0.0, 2.0)
         assert bv.value == 1.0
 
+    @pytest.mark.parametrize(
+        ("lower", "upper", "midpoint"),
+        [(-1e308, -1e308, -1e308), (1e308, 1.7e308, 1.35e308)],
+    )
+    def test_from_bounds_midpoint_survives_overflowing_sum(
+        self, lower, upper, midpoint
+    ):
+        """``lower + upper`` overflows; the midpoint halves each bound."""
+        bv = BoundedValue.from_bounds(lower, upper)
+        assert (bv.lower, bv.value, bv.upper) == (lower, midpoint, upper)
+
+    def test_from_bounds_midpoint_keeps_its_bits(self):
+        """Where the sum is finite the midpoint is ``0.5 * (lower +
+        upper)``, which can differ from ``0.5*lower + 0.5*upper``."""
+        lower, upper = 5e-324, 5e-324
+        assert 0.5 * (lower + upper) != 0.5 * lower + 0.5 * upper
+        assert BoundedValue.from_bounds(lower, upper).value == 0.5 * (lower + upper)
+
     def test_ordering_violation_raises(self):
         with pytest.raises(ConfigError):
             BoundedValue(5.0, 0.0, 1.0)
