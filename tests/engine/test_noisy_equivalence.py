@@ -58,19 +58,26 @@ def noisy_configs():
         v_sat=st.sampled_from([float("inf"), 1.4]),
         noise_rms=st.floats(min_value=1e-6, max_value=5e-4),
     )
+    # Evaluators: ideal, noise-only, and looped (finite gain, incomplete
+    # settling) with noise loud enough to move counts.
+    evaluators = st.sampled_from(
+        [
+            None,
+            OpAmpModel(noise_rms=1e-4),
+            OpAmpModel(dc_gain=3000.0, settling_error=1e-3, noise_rms=2e-3),
+        ]
+    )
     return st.builds(
-        lambda seed, generator, eval_rms, random_state: AnalyzerConfig.ideal(
+        lambda seed, generator, evaluator, random_state: AnalyzerConfig.ideal(
             m_periods=M,
             generator_opamp=generator,
-            evaluator_opamp=(
-                OpAmpModel(noise_rms=eval_rms) if eval_rms else None
-            ),
+            evaluator_opamp=evaluator,
             noise_seed=seed,
             random_modulator_state=random_state,
         ),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
         generator=opamps,
-        eval_rms=st.sampled_from([0.0, 1e-4]),
+        evaluator=evaluators,
         random_state=st.booleans(),
     )
 

@@ -45,11 +45,13 @@ NOISY = AnalyzerConfig.ideal(
     m_periods=M, evaluator_opamp=OpAmpModel(noise_rms=50e-6), noise_seed=7
 )
 #: Finite gain and incomplete settling: the device-axis loop in wide
-#: slots, the per-device modulator below ``_BATCH_MIN_DEVICES``.
+#: slots, the per-device modulator below ``_BATCH_MIN_DEVICES``.  Random
+#: power-up states and millivolt noise make the stream draws move counts.
 LOOPED = AnalyzerConfig.ideal(
     m_periods=M,
-    evaluator_opamp=OpAmpModel(dc_gain=3000.0, settling_error=1e-3, noise_rms=50e-6),
+    evaluator_opamp=OpAmpModel(dc_gain=3000.0, settling_error=1e-3, noise_rms=2e-3),
     noise_seed=7,
+    random_modulator_state=True,
 )
 NOISY_RANDOM_STATE = AnalyzerConfig.ideal(
     m_periods=M,
