@@ -85,7 +85,7 @@ def _hand_written(spec: ScenarioSpec):
             component_sigma=yield_step.component_sigma,
             seed=spec.seed, config=config,
         )
-        report = YieldReport(trials=tuple(trials), ambiguous_passes=False)
+        report = YieldReport.from_trials(trials, ambiguous_passes=False)
     return measurements, report
 
 

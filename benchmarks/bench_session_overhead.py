@@ -82,9 +82,7 @@ def run_session_overhead_bench(
                 component_sigma=0.03, seed=0, config=config,
             ),
         )
-        direct_yield = YieldReport(
-            trials=tuple(direct_trials), ambiguous_passes=False
-        )
+        direct_yield = YieldReport.from_trials(direct_trials, ambiguous_passes=False)
 
     # --- the same workloads through the session facade ----------------
     with Session(dut, config, ExecutionPolicy()) as session:

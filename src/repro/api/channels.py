@@ -68,10 +68,10 @@ def sweep_channels(
 
 def yield_channels(report: YieldReport) -> tuple[Channel, Channel]:
     """Channels of a :class:`~repro.bist.montecarlo.YieldReport`."""
-    verdicts = [t.verdict for t in report.trials]
+    verdicts = list(report.verdicts)
     exact = {
         "verdicts": verdicts,
-        "truly_good": [bool(t.truly_good) for t in report.trials],
+        "truly_good": list(report.truly_good),
         "n_pass": verdicts.count("pass"),
         "n_fail": verdicts.count("fail"),
         "n_ambiguous": verdicts.count("ambiguous"),

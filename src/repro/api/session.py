@@ -319,9 +319,7 @@ class Session:
                 seed=self.policy.seed if seed is None else seed,
                 config=self._config(config),
             )
-            report = YieldReport(
-                trials=tuple(trials), ambiguous_passes=ambiguous_passes
-            )
+            report = YieldReport.from_trials(trials, ambiguous_passes)
             return self._result(
                 "yield", name, channels.yield_channels(report), report, counters
             )

@@ -40,61 +40,72 @@ class DeviceTrial:
 
 @dataclass(frozen=True)
 class YieldReport:
-    """Aggregate Monte-Carlo outcome."""
+    """Aggregate Monte-Carlo outcome, stored as columns: device ``i``'s
+    BIST verdict is ``verdicts[i]`` and its true spec compliance
+    ``truly_good[i]``."""
 
-    trials: tuple[DeviceTrial, ...]
+    verdicts: tuple[str, ...]
+    truly_good: tuple[bool, ...]
     ambiguous_passes: bool
 
-    def _passes(self, trial: DeviceTrial) -> bool:
-        if trial.verdict == "pass":
-            return True
-        return trial.verdict == "ambiguous" and self.ambiguous_passes
+    @classmethod
+    def from_trials(cls, trials, ambiguous_passes: bool) -> YieldReport:
+        """The report of a lot's trials, given in device order."""
+        trials = list(trials)
+        return cls(
+            verdicts=tuple(t.verdict for t in trials),
+            truly_good=tuple(bool(t.truly_good) for t in trials),
+            ambiguous_passes=ambiguous_passes,
+        )
+
+    @property
+    def trials(self) -> tuple[DeviceTrial, ...]:
+        """The lot as one :class:`DeviceTrial` per device (built on
+        each read)."""
+        return tuple(
+            DeviceTrial(device_index=i, verdict=verdict, truly_good=good)
+            for i, (verdict, good) in enumerate(zip(self.verdicts, self.truly_good))
+        )
 
     @property
     def n_devices(self) -> int:
-        return len(self.trials)
+        return len(self.verdicts)
+
+    def _fraction(self, count: int) -> float:
+        return count / len(self.verdicts) if self.verdicts else 0.0
+
+    def _shipped(self) -> list[bool]:
+        """Per device, whether the BIST ships it."""
+        shipped = ("pass", "ambiguous") if self.ambiguous_passes else ("pass",)
+        return [verdict in shipped for verdict in self.verdicts]
 
     @property
     def test_yield(self) -> float:
         """Fraction of devices the BIST ships."""
-        if not self.trials:
-            return 0.0
-        return sum(1 for t in self.trials if self._passes(t)) / len(self.trials)
+        return self._fraction(sum(self._shipped()))
 
     @property
     def true_yield(self) -> float:
         """Fraction of devices actually meeting the spec."""
-        if not self.trials:
-            return 0.0
-        return sum(1 for t in self.trials if t.truly_good) / len(self.trials)
+        return self._fraction(sum(self.truly_good))
 
     @property
     def escape_rate(self) -> float:
         """Shipped-bad fraction (of all devices)."""
-        if not self.trials:
-            return 0.0
-        escapes = sum(
-            1 for t in self.trials if self._passes(t) and not t.truly_good
+        return self._fraction(
+            sum(s and not g for s, g in zip(self._shipped(), self.truly_good))
         )
-        return escapes / len(self.trials)
 
     @property
     def overkill_rate(self) -> float:
         """Scrapped-good fraction (of all devices)."""
-        if not self.trials:
-            return 0.0
-        overkill = sum(
-            1 for t in self.trials if not self._passes(t) and t.truly_good
+        return self._fraction(
+            sum(g and not s for s, g in zip(self._shipped(), self.truly_good))
         )
-        return overkill / len(self.trials)
 
     @property
     def ambiguous_rate(self) -> float:
-        if not self.trials:
-            return 0.0
-        return sum(1 for t in self.trials if t.verdict == "ambiguous") / len(
-            self.trials
-        )
+        return self._fraction(self.verdicts.count("ambiguous"))
 
 
 def _truly_good(population: Population, mask: SpecMask, frequencies) -> list[bool]:

@@ -62,7 +62,7 @@ from ..core.measurement import GainPhaseMeasurement
 from ..dut.active_rc import FilterComponents, lot_population
 from ..dut.base import DUT
 from ..dut.statespace import stack_population
-from ..errors import ConfigError
+from ..errors import ConfigError, require_count
 from ..obs.metrics import MetricRegistry
 from ..obs.recorder import default_recorder
 from . import vectorized
@@ -805,8 +805,7 @@ class BatchRunner:
         program's one-off calibration is acquired once via the cache
         instead of once per device.
         """
-        if n_devices < 1:
-            raise ConfigError(f"n_devices must be >= 1, got {n_devices}")
+        require_count("run_trials", "n_devices", n_devices, 1)
         if not (math.isfinite(component_sigma) and component_sigma >= 0):
             raise ConfigError(
                 f"component_sigma must be finite and >= 0, got {component_sigma!r}"

@@ -32,17 +32,30 @@ operations:
   :func:`~repro.dut.statespace.zoh_transfer` call per stack over every
   probe and the truly-good verdicts from one stacked solve per probe
   frequency — the arithmetic the reference backend runs per device,
-  one row at a time.  Each row then keeps its own ``lfilter`` over the
-  shared stimulus prefix (minus the final-state recovery the
-  population path never observes), its coefficients indexed out of
-  the stacked arrays; rows without a model go through
+  one row at a time.  On the per-row path each row then runs its own
+  ``lfilter`` over the shared stimulus prefix (minus the final-state
+  recovery the population path never observes), its coefficients
+  indexed out of the stacked arrays; rows without a model go through
   :meth:`~repro.dut.base.DUT.batch_response`.
+* **The wide-lot kernel.**  A call without job streams whose two
+  channels are ideal (with a power-of-two ``vref``) counts each
+  state-space stack of at least ``_WIDE_ROWS`` rows — wide yield lots —
+  in one time loop over device-axis vectors instead (:func:`_wide_sums`):
+  :class:`_DF2T` repeats ``lfilter``'s transposed direct-form-II
+  operations for every row at once on the shared stimulus, and the loop
+  accumulates the two prefix sums the closed form reads, so no response,
+  modulated copy or block buffer is written.  The sums come out bit for
+  bit, so the counts
+  (:meth:`~repro.evaluator.sigma_delta.FirstOrderSigmaDelta.window_counts`)
+  equal the per-row path's.  Rows whose window leaves the input range,
+  narrower stacks, rows without a model, and every call with noise
+  streams or non-ideal channels take the per-row path.
 * **Population-batched modulators.**  Each channel of a row block is
   one call of
   :meth:`~repro.evaluator.sigma_delta.FirstOrderSigmaDelta.signatures`,
   whose module states the branch rule and the kernels it picks.
-* **Cache-sized blocks, counted time-major.**  Every call fills one
-  reused ``(block x mn)`` buffer, one row each; each channel's ``q *``
+* **Cache-sized blocks, counted time-major.**  The per-row path fills
+  one reused ``(block x mn)`` buffer, one row each; each channel's ``q *``
   modulation writes its working copy transposed, ``(mn x block)``, so a
   time step is a contiguous row for both the closed form and the
   device-axis recurrence.  Ideal or noise-only channels are walked in
@@ -73,7 +86,8 @@ device owns its stream and no block holds two rows of one stream, so
 block-by-block draws keep every stream's per-probe render, power-up
 state, channel noise order; a call whose devices share a stream is
 rejected), the shared stimulus prefix is
-bit-identical to each job's private render, and the batched
+bit-identical to each job's private render, the wide-lot kernel's
+responses are ``lfilter``'s bit for bit, and the batched
 modulators produce bit-identical bitstreams — so the
 integer signatures (and verdict-relevant counts) are **exactly equal**
 to the reference backend's.  The derived float intervals go through
@@ -170,6 +184,192 @@ def _modulated(q: np.ndarray, responses: np.ndarray) -> np.ndarray:
 #: EXPERIMENTS.md has the context.
 _BLOCK_DEVICES = 64
 
+#: Fewest rows of one state-space stack for which an ideal call counts
+#: that stack with the wide-lot kernel (:func:`_wide_sums`) instead of
+#: one ``lfilter`` per row.  The kernel's cost is a time loop of NumPy
+#: calls, so narrow stacks lose to the per-row path.  Measured on
+#: ``PopulationMeasurer.measure`` for yield_lot-shaped calls (3 probes,
+#: m = 20; 2-vCPU Xeon, one BLAS thread, CPython 3.11.7, NumPy 2.4.6),
+#: median kernel/per-row time ratio of 9 interleaved runs — 900 rows:
+#: 1.31, 1200: 1.17, 1500: 0.99, 1800: 0.91, 2100: 0.82, 3000: 0.66,
+#: 5100: 0.53.  EXPERIMENTS.md has the table.
+_WIDE_ROWS = 1800
+
+
+class _DF2T:
+    """SciPy ``lfilter``'s transposed direct-form-II recurrence, zero
+    initial state, over the rows of one filter order at once: one shared
+    input sample per step, each row with its own coefficients.
+
+    ``num`` and ``den`` are ``(rows x (order + 1))``.  Each step repeats
+    ``lfilter``'s IEEE operations in its order, after its normalization
+    by ``a0 = den[:, 0]``::
+
+        y = z[0] + b[0] x
+        z[i] = (z[i + 1] + x b[i + 1]) - y a[i + 1]    i < order - 1
+        z[order - 1] = x b[order] - y a[order]
+
+    so every output equals ``lfilter(num[r], den[r], x)`` bit for bit.
+    """
+
+    def __init__(self, num: np.ndarray, den: np.ndarray) -> None:
+        a0 = den[:, :1]
+        self.b = np.ascontiguousarray((num / a0).T)
+        self.a = np.ascontiguousarray((den / a0).T[1:])
+        order, rows = self.a.shape
+        self.z = np.zeros((order, rows))
+        self._z = np.zeros((order, rows))
+        self._xb = np.empty((order + 1, rows))
+        self._ay = np.empty((order, rows))
+        self.y = np.empty(rows)
+
+    def step(self, x: float, lo: int = 0) -> np.ndarray:
+        """Feed sample ``x`` to rows ``lo:`` and return their outputs.
+
+        ``lo`` may only grow between steps: the rows before it are
+        finished and their state is no longer kept.
+        """
+        z, out = self.z[:, lo:], self._z[:, lo:]
+        xb, ay, y = self._xb[:, lo:], self._ay[:, lo:], self.y[lo:]
+        np.multiply(self.b[:, lo:], x, out=xb)
+        np.add(z[0], xb[0], out=y)
+        np.multiply(self.a[:, lo:], y, out=ay)
+        np.add(z[1:], xb[1:-1], out=out[:-1])
+        np.subtract(out[:-1], ay[:-1], out=out[:-1])
+        np.subtract(xb[-1], ay[-1], out=out[-1])
+        self.z, self._z = self._z, self.z
+        return y
+
+
+def _wide_sums(
+    num: np.ndarray,
+    den: np.ndarray,
+    leads: np.ndarray,
+    stimulus: np.ndarray,
+    q: np.ndarray,
+    vref: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The two prefix sums of both channels' closed form for rows of one
+    order, filtered together without writing a response.
+
+    Row ``r`` is the zero-state response of ``(num[r], den[r])`` to the
+    shared held ``stimulus``, measured over samples ``leads[r] * n ... +
+    mn`` (``n = OVERSAMPLING_RATIO``), where ``q`` holds the two
+    channels' ``mn``-sample modulation.  Returns ``(first, total,
+    in_range)``: ``first[c, r]`` and ``total[c, r]`` are ``T[mn/2 - 2]``
+    and ``T[mn - 2]`` of ``t = (q[c] y / vref + 1) / 2``, summed in the
+    sequential order of :func:`~repro.evaluator.sigma_delta._prefix_sums`,
+    and ``in_range[r]`` says the row's window stays inside ``+/-vref``.
+
+    One :class:`_DF2T` loop runs every row with rows sorted by lead-in,
+    so at each step the rows still filtering, those inside their window
+    and those in its second half are contiguous slices.  Lead-ins are
+    whole periods and ``q`` repeats every ``n`` samples within each half
+    of the window, so a row's modulation sign at step ``k`` is ``q[c, k
+    mod n]`` in the first half and ``q[c, mn/2 + (k - mn/2) mod n]`` in
+    the second (with odd ``m`` the halves are not whole periods).
+
+    ``vref`` is a power of two (``2**-512`` to ``2**510``).  The loop
+    adds ``vref + y`` and ``vref - y``, each ``vref (1 +/- y / vref)``
+    rounded, and scales ``first`` and ``total`` by ``0.5 / vref`` once
+    at the end: scaling by a power of two commutes with every rounded
+    addition (no in-range partial sum is subnormal), so the sums equal
+    those of the terms ``((q y) / vref + 1) * 0.5`` bit for bit.  Each
+    lead group takes ``first`` as a snapshot at its step ``mn/2 - 2``.
+    A row counts as in range while both terms stay below ``2 vref``:
+    ``|y| > vref`` forces one of them to at least that, and a NaN fails
+    the test, so the rare row with a sample at ``+/-vref`` itself also
+    goes to the per-row path.
+    """
+    n = OVERSAMPLING_RATIO
+    mn = q.shape[1]
+    half = mn // 2
+    order = np.argsort(leads, kind="stable")
+    start = leads[order] * n
+    steps = int(start[-1]) + mn
+    if len(stimulus) < steps:
+        raise ConfigError(
+            f"wide-lot kernel: stimulus holds {len(stimulus)} samples, "
+            f"its rows need {steps}"
+        )
+    # At step k: rows [:done] have finished, [done:last] take their last
+    # sample, [:second] are in the second half of their window and
+    # [:begun] inside it.  ``snapshots`` maps each lead group's step
+    # mn/2 - 2 to its rows.
+    at = np.arange(steps)
+    done = np.searchsorted(start, at - mn + 1, "left").tolist()
+    last = np.searchsorted(start, at - mn + 1, "right").tolist()
+    second = np.searchsorted(start, at - half, "right").tolist()
+    begun = np.searchsorted(start, at, "right").tolist()
+    group_starts = np.unique(start)
+    snapshots = dict(
+        zip(
+            (group_starts + half - 2).tolist(),
+            zip(
+                np.searchsorted(start, group_starts, "left").tolist(),
+                np.searchsorted(start, group_starts, "right").tolist(),
+            ),
+        )
+    )
+    # ``t`` holds each window row's term for sign +1 (row 0) and -1
+    # (row 1).  Per phase of each half, the rows of ``t`` the two
+    # channels add, as one index that broadcasts onto ``sums``.
+    pick = {
+        (1, 1): 0,
+        (-1, -1): 1,
+        (1, -1): slice(None),
+        (-1, 1): slice(None, None, -1),
+    }
+    signs = [pick[c1, c2] for c1, c2 in q.astype(int).T.tolist()]
+    first_half = signs[:n]
+    second_half = [signs[half + (phase - half) % n] for phase in range(n)]
+    filt = _DF2T(num[order], den[order])
+    rows = len(order)
+    t = np.empty((2, rows))
+    peak = np.full((2, rows), -np.inf)
+    sums = np.zeros((2, rows))
+    first = np.empty((2, rows))
+    for k, x in enumerate(stimulus[:steps].tolist()):
+        lo = done[k]
+        y = filt.step(x, lo)
+        hi = begun[k]
+        if hi <= lo:
+            continue
+        window = slice(lo, hi)
+        np.add(y[: hi - lo], vref, out=t[0, window])
+        np.subtract(vref, y[: hi - lo], out=t[1, window])
+        np.maximum(peak[:, window], t[:, window], out=peak[:, window])
+        phase = k % n
+        mid = second[k]
+        if hi > mid:
+            part = slice(mid, hi)
+            sums[:, part] += t[first_half[phase], part]
+        if mid > last[k]:
+            part = slice(last[k], mid)
+            sums[:, part] += t[second_half[phase], part]
+        group = snapshots.get(k)
+        if group is not None:
+            first[:, group[0] : group[1]] = sums[:, group[0] : group[1]]
+    scale = 0.5 / vref
+    first *= scale
+    sums *= scale
+    in_range = (peak < 2.0 * vref).all(axis=0)
+    unsorted = np.empty_like(order)
+    unsorted[order] = np.arange(rows)
+    return first[:, unsorted], sums[:, unsorted], in_range[unsorted]
+
+
+class _RowPlan(NamedTuple):
+    """A call's rows before filtering: each row's lead-in in periods,
+    and row ``r``'s coefficients as row ``position[r]`` of the ``(num,
+    den)`` of stack ``stack_of[r]`` (-1: no state-space model).
+    ``transfers`` holds each stack's ``(rows, (num, den))``."""
+
+    leads: np.ndarray
+    stack_of: np.ndarray
+    position: np.ndarray
+    transfers: list
+
 
 class SlotArrays(NamedTuple):
     """One measured call in array form, one element per probe-major row:
@@ -232,9 +432,23 @@ class PopulationMeasurer:
         )
         # Channels that are not leak-free step through time across every
         # column of a call: each probe is one block.
+        channels = (self.evaluator.channel1, self.evaluator.channel2)
         self._looped_channels = not all(
-            channel.is_leak_free()
-            for channel in (self.evaluator.channel1, self.evaluator.channel2)
+            channel.is_leak_free() for channel in channels
+        )
+        # The wide-lot kernel's condition: both channels take the closed
+        # form for every in-range window of a call without job streams,
+        # and their vref is a power of two (see _wide_sums).  Dividing
+        # by any other vref costs the kernel a pass per step (~8 % of
+        # its time on a perfbench chunk, EXPERIMENTS.md).
+        fraction, exponent = math.frexp(self.evaluator.vref)
+        self._wide_channels = (
+            fraction == 0.5
+            and abs(exponent) < 512
+            and all(
+                channel.vectorized and channel.is_ideal(False)
+                for channel in channels
+            )
         )
         self._generator: SinewaveGenerator | None = None
         self._stimulus = np.empty(0)
@@ -396,42 +610,82 @@ class PopulationMeasurer:
     def _counts(
         self, population: Population, tones: np.ndarray, rngs: list
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every row's signature and overload counts, one block of rows at
-        a time.
+        """Every row's signature and overload counts.
 
-        Ideal and noise-only channels treat every row on its own, so the
-        call walks blocks of ``_BLOCK_DEVICES`` probe-major rows through
-        one reused response buffer and counts each block while it is
-        still in cache.  Blocks run across probe boundaries, but a block
-        whose rows carry noise streams holds at most one probe's worth of
-        rows, so no block holds two rows of one stream and each stream is
-        drawn probe by probe.  The device-axis recurrence of finite-gain
-        or incompletely settling channels needs every device at once, so
-        there each probe is one block.
+        In a call without job streams whose channels are both ideal, a
+        state-space stack with at least ``_WIDE_ROWS`` rows is counted
+        by the wide-lot kernel (:func:`_wide_sums`); its rows whose
+        window leaves the input range, and every other row, take the
+        per-row path below.
+
+        The per-row path walks blocks of ``_BLOCK_DEVICES`` rows, in
+        probe-major order, through one reused response buffer and counts
+        each block while it is still in cache: ideal and noise-only
+        channels treat every row on its own.  Blocks run across probe
+        boundaries, but a block whose rows carry noise streams holds at
+        most one probe's worth of rows, so no block holds two rows of one
+        stream and each stream is drawn probe by probe.  The device-axis
+        recurrence of finite-gain or incompletely settling channels needs
+        every device at once, so there each probe is one block.
         """
         probes, devices = tones.shape
         n_rows = probes * devices
-        fill = self._row_filler(population, tones, rngs)
+        plan = self._row_plan(population, tones)
+        fill = self._row_filler(population, plan, tones, rngs)
+        i1 = np.empty(n_rows, dtype=np.int64)
+        i2 = np.empty(n_rows, dtype=np.int64)
+        overload = np.empty(n_rows, dtype=np.int64)
+        pending = np.ones(n_rows, dtype=bool)
+        if self._wide_channels and all(rng is None for rng in rngs):
+            for rows, (num, den) in plan.transfers:
+                if len(rows) >= _WIDE_ROWS:
+                    counts, in_range = self._wide_counts(num, den, plan.leads[rows])
+                    done = rows[in_range]
+                    i1[done], i2[done] = counts[:, in_range]
+                    overload[done] = 0
+                    pending[done] = False
+        rest = np.flatnonzero(pending)
         if self._looped_channels:
             block = devices
         elif any(rng is not None for rng in rngs):
             block = min(_BLOCK_DEVICES, devices)
         else:
             block = _BLOCK_DEVICES
-        buffer = np.empty((min(block, n_rows), self.mn))
-        i1 = np.empty(n_rows, dtype=np.int64)
-        i2 = np.empty(n_rows, dtype=np.int64)
-        overload = np.empty(n_rows, dtype=np.int64)
-        for start in range(0, n_rows, block):
-            stop = min(start + block, n_rows)
-            responses = buffer[: stop - start]
-            fill(start, responses)
-            i1[start:stop], i2[start:stop], overload[start:stop] = (
-                self._block_counts(
-                    [rngs[r % devices] for r in range(start, stop)], responses
-                )
+        buffer = np.empty((min(block, len(rest)), self.mn))
+        for start in range(0, len(rest), block):
+            rows = rest[start : start + block]
+            responses = buffer[: len(rows)]
+            fill(rows, responses)
+            i1[rows], i2[rows], overload[rows] = self._block_counts(
+                [rngs[r % devices] for r in rows.tolist()], responses
             )
         return i1, i2, overload
+
+    def _wide_counts(
+        self, num: np.ndarray, den: np.ndarray, leads: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Both channels' signatures ``(2 x rows)`` of one stack's rows
+        from the wide-lot kernel, and which rows stayed in range (the
+        others' counts are meaningless)."""
+        channels = (self.evaluator.channel1, self.evaluator.channel2)
+        first, total, in_range = _wide_sums(
+            num,
+            den,
+            leads,
+            self._stimulus,
+            np.stack([self._q1, self._q2]),
+            self.evaluator.vref,
+        )
+        u0 = np.zeros(len(leads))
+        counts = np.stack(
+            [
+                channel.window_counts(
+                    first[c], total[c], u0, self.mn, self.config.chopped
+                )
+                for c, channel in enumerate(channels)
+            ]
+        )
+        return counts, in_range
 
     def _block_counts(
         self, rngs: list, responses: np.ndarray
@@ -457,29 +711,18 @@ class PopulationMeasurer:
         return i1, i2, overload1 + overload2
 
     # ------------------------------------------------------------------
-    def _row_filler(self, population: Population, tones: np.ndarray, rngs: list):
-        """``fill(start, out)``: write the measurement windows of rows
-        ``start, start + 1, ...`` of their responses into the buffer rows
-        ``out``.
+    def _row_plan(self, population: Population, tones: np.ndarray) -> _RowPlan:
+        """Each row's lead-in and z-domain coefficients.
 
-        State-space rows take their z-domain coefficients from one
-        stacked :func:`~repro.dut.statespace.zoh_transfer` call per
-        stack for every probe of the call — the kernel
-        ``StateSpaceDUT.process`` runs with one row — and keep their own
-        ``lfilter``; other rows go through their device's
-        ``batch_response``.  Each row's lead-in is its settling time in
-        whole tone periods, as the analyzer rounds it.  The held input
-        is the shared stimulus prefix, or for a noisy generator the
-        row's own render (:meth:`_noisy_held`).
+        State-space rows take theirs from one stacked
+        :func:`~repro.dut.statespace.zoh_transfer` call per stack for
+        every probe of the call — the kernel ``StateSpaceDUT.process``
+        runs with one row.  Each row's lead-in is its settling time in
+        whole tone periods, as the analyzer rounds it.
         """
-        m = self.m_periods
-        n = OVERSAMPLING_RATIO
-        mn = self.mn
         probes, devices = tones.shape
         flat = tones.ravel()
         leads = np.ceil(np.tile(population.settle, probes) * flat).astype(int)
-        # Row r's coefficients are row position[r] of stack stack_of[r]'s
-        # (num, den); -1 marks a row without a state-space model.
         stack_of = np.full(len(flat), -1)
         position = np.zeros(len(flat), dtype=int)
         transfers = []
@@ -487,16 +730,40 @@ class PopulationMeasurer:
         for s, (rows, stack) in enumerate(population.stacks):
             rows = (rows + offsets).ravel()
             transfers.append(
-                zoh_transfer(
-                    np.tile(stack.a, (probes, 1, 1)),
-                    np.tile(stack.b, (probes, 1)),
-                    np.tile(stack.c, (probes, 1)),
-                    np.tile(stack.d, probes),
-                    1.0 / (flat[rows] * n),
+                (
+                    rows,
+                    zoh_transfer(
+                        np.tile(stack.a, (probes, 1, 1)),
+                        np.tile(stack.b, (probes, 1)),
+                        np.tile(stack.c, (probes, 1)),
+                        np.tile(stack.d, probes),
+                        1.0 / (flat[rows] * OVERSAMPLING_RATIO),
+                    ),
                 )
             )
             stack_of[rows] = s
             position[rows] = np.arange(len(rows))
+        return _RowPlan(leads, stack_of, position, transfers)
+
+    def _row_filler(
+        self, population: Population, plan: _RowPlan, tones: np.ndarray, rngs: list
+    ):
+        """``fill(rows, out)``: write the measurement windows of the
+        responses of ``rows`` into the buffer rows ``out``.
+
+        State-space rows run their own ``lfilter`` on their
+        coefficients from ``plan`` (minus the final-state recovery the
+        population path never observes); other rows go through their
+        device's ``batch_response``.  The held input is the shared
+        stimulus prefix, or for a noisy generator the row's own render
+        (:meth:`_noisy_held`).
+        """
+        m = self.m_periods
+        n = OVERSAMPLING_RATIO
+        mn = self.mn
+        devices = tones.shape[1]
+        flat = tones.ravel()
+        leads = plan.leads
         longest = int(leads.max())
         if self._noisy_generator:
             held_input = self._noisy_held(rngs, longest)
@@ -511,21 +778,20 @@ class PopulationMeasurer:
             def held_input(r: int, lead: int) -> np.ndarray:
                 return stimulus[: (lead + m) * n]
 
-        def fill(start: int, out: np.ndarray) -> None:
-            stop = start + len(out)
+        def fill(rows: np.ndarray, out: np.ndarray) -> None:
             for row, r, lead, s, k in zip(
                 out,
-                range(start, stop),
-                leads[start:stop].tolist(),
-                stack_of[start:stop].tolist(),
-                position[start:stop].tolist(),
+                rows.tolist(),
+                leads[rows].tolist(),
+                plan.stack_of[rows].tolist(),
+                plan.position[rows].tolist(),
             ):
                 held = held_input(r, lead)
                 if s < 0:
                     device = population.others[r % devices]
                     output = device.batch_response(held, float(flat[r]) * n)
                 else:
-                    num, den = transfers[s]
+                    num, den = plan.transfers[s][1]
                     output = lfilter(num[k], den[k], held)
                 row[:] = output[lead * n : lead * n + mn]
 

@@ -473,21 +473,40 @@ class FirstOrderSigmaDelta:
         bitstream and no running sum is written.  ``w`` is time-major
         ``(n x columns)`` and consumed.
         """
-        half_span = 2.0 * self.gain * self.vref
-        y0 = u0 / half_span
         t = np.ascontiguousarray(w)
         t /= self.vref
         t += 1.0
         t *= 0.5
+        first, total = _prefix_sums(t)
+        return self.window_counts(first, total, u0, t.shape[0], chopped)
+
+    def window_counts(
+        self,
+        first: np.ndarray,
+        total: np.ndarray,
+        u0: np.ndarray,
+        n: int,
+        chopped: bool,
+    ) -> np.ndarray:
+        """Branch 1's signatures of ``n``-sample windows from their two
+        prefix sums: ``first = T[n/2 - 2]`` and ``total = T[n - 2]`` of
+        ``t = (w / vref + 1) / 2``, each the sequential sum from sample 0
+        (:func:`_prefix_sums`), with initial states ``u0``.
+
+        :meth:`_closed_form_counts` takes its sums from the windows;
+        the population backend's wide-lot kernel
+        (``repro.engine.vectorized``) accumulates the same sums in the
+        same order inside its filter loop, and both count here.
+        """
+        y0 = u0 / (2.0 * self.gain * self.vref)
         # Cumulative ones through sample k: floor(y0 + T_k) + 1, where T_k
         # excludes sample k itself (the decision precedes the integration).
-        first, total = _prefix_sums(t)
         ones_first = np.floor(y0 + first) + 1.0
         ones_total = np.floor(y0 + total) + 1.0
         if chopped:
             ones_second = ones_total - ones_first
             return (2.0 * (ones_first - ones_second)).astype(np.int64)
-        return (2.0 * ones_total - t.shape[0]).astype(np.int64)
+        return (2.0 * ones_total - n).astype(np.int64)
 
     def _ideal_loop(self, w: np.ndarray, u: float) -> tuple[np.ndarray, float]:
         """The ideal recurrence sample by sample (branch 2)."""
