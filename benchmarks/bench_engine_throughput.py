@@ -321,13 +321,10 @@ def run_chunked_lot(
             config=config,
         )
 
-    def key(trials):
-        return [(t.device_index, t.verdict, t.truly_good) for t in trials]
-
     # --- exact channel vs chunking ------------------------------------
-    baseline = key(lot("reference", None, invariance_devices))
+    baseline = lot("reference", None, invariance_devices)
     chunk_invariant = all(
-        key(lot(backend, chunk, invariance_devices)) == baseline
+        lot(backend, chunk, invariance_devices) == baseline
         for backend, chunk in (
             ("reference", invariance_devices // 7),
             ("vectorized", None),
@@ -351,8 +348,8 @@ def run_chunked_lot(
     trials = lot("vectorized", chunk_size, n_devices)
     lot_s = time.perf_counter() - start
     maxrss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    lot_yield = sum(1 for t in trials if t.verdict == "pass") / len(trials)
-    prefix_identical = key(trials[:invariance_devices]) == baseline
+    lot_yield = sum(1 for verdict, _ in trials if verdict == "pass") / len(trials)
+    prefix_identical = trials[:invariance_devices] == baseline
 
     figures = {
         "lot_devices": n_devices,

@@ -65,10 +65,10 @@ def main() -> None:
         print(f"test escapes (small parametric shifts): {escaped}")
 
     # Monte-Carlo production lot: yield, escapes, overkill.
-    from repro.bist import yield_analysis
+    from repro.bist import run_yield_analysis
 
     print("\nsimulating a 24-device lot with 6% component spread...")
-    lot = yield_analysis(
+    lot = run_yield_analysis(
         golden.components,
         mask,
         program,

@@ -19,9 +19,9 @@ REP002    **Seam compliance.** Execution resources are decided in one
           or process/thread-pool construction outside ``repro.api`` /
           ``repro.engine``, no job-queue/worker-pool construction
           (``JobQueue``/``WorkerPool``/stdlib ``Queue`` family) outside
-          ``repro.service`` / ``repro.engine``, and no new
-          ``n_workers=``/``backend=`` parameters outside the documented
-          deprecation shims.  The scenario layer's
+          ``repro.service`` / ``repro.engine``, and no
+          ``n_workers=``/``backend=`` parameters outside the seam.  The
+          scenario layer's
           ``backend=``/``n_workers=`` overrides are a sanctioned
           forwarding surface (they pass verbatim into an
           ``ExecutionPolicy`` and are part of the recorded-baseline
@@ -460,8 +460,7 @@ class SeamRule(Rule):
                             f"parameter {arg.arg}= on {node.name}() "
                             f"re-plumbs execution strategy outside the "
                             f"repro.api seam — accept an ExecutionPolicy/"
-                            f"Session instead (documented deprecation "
-                            f"shims carry an inline suppression)",
+                            f"Session instead",
                         )
 
 

@@ -5,8 +5,8 @@ code, with a reason — never in a side file where the context is lost::
 
     started = time.perf_counter()  # repro: allow[REP001]: wall-clock display only
 
-    # repro: allow[REP002]: documented deprecation shim (see DESIGN.md)
-    def bode(self, ..., n_workers=None):
+    # repro: allow[REP002]: compute-backend selector (bit-identical)
+    def lfsr_bits(config, n, backend="reference"):
 
 Two placements are recognized: a trailing comment suppresses findings on
 its own line, and a standalone comment line suppresses findings on the

@@ -1,12 +1,9 @@
 """repro.api — the unified session layer over every workload.
 
-Four subsystems grew four calling conventions: the analyzer's
-``bode(n_workers=, backend=)``, the BIST layer's
-``run_yield_analysis(n_workers=)`` and ``fault_coverage(runner=)``, the
-fault subsystem's ``FaultCampaign.run(...)`` and the scenario layer's
-``compile_scenario(...).run(...)`` each re-plumbed workers, backend and
-calibration caching by hand.  This package is the single stable seam
-that replaces all of them:
+Every workload — the analyzer's Bode sweep, the BIST layer's yield lots
+and fault coverage, the fault subsystem's campaigns and the scenario
+layer's compiled runs — executes through this package, the one place
+that decides workers, backend and calibration caching:
 
 * :class:`~repro.api.policy.ExecutionPolicy` — backend, worker count,
   seed and cache bound, validated once and round-trippable through
@@ -22,10 +19,11 @@ that replaces all of them:
   protocol: exact/float channel split, uniform ``to_json()``/
   ``to_csv()``, cache/backend stats, raw domain object attached.
 
-The historical entry points still work as thin deprecation shims that
-forward here (bit-identical, both backends — asserted by
-``tests/api/test_shims.py``); the public surface is pinned by the
-snapshot under ``tests/baselines/api_surface.json``.  See ``DESIGN.md``
+The plain entry points (``NetworkAnalyzer.bode``,
+``run_yield_analysis``, ``fault_coverage``, ``FaultCampaign.run``) take
+no execution kwargs and run on a default ``Session()``; the public
+surface is pinned by the snapshot under
+``tests/baselines/api_surface.json``.  See ``DESIGN.md``
 ("the api layer") for where policy, seeding and calibration-reuse
 decisions now live.
 """
@@ -57,7 +55,7 @@ from .result import (
     SessionResult,
     SessionStats,
 )
-from .session import Session, legacy_session
+from .session import Session
 
 __all__ = [
     "DiagnosisOutcome",
@@ -74,7 +72,6 @@ __all__ = [
     "diagnose_channels",
     "distortion_channels",
     "dynamic_range_channels",
-    "legacy_session",
     "policy_for_runner",
     "policy_from_payload",
     "policy_to_payload",

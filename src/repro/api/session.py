@@ -28,18 +28,15 @@ common :class:`~repro.api.result.Result` protocol): exact/float channel
 split, uniform ``to_json()``/``to_csv()`` export, cache/backend stats
 attached, and the untouched domain object on ``.raw``.
 
-This module is also where the *legacy* calling conventions converge:
-the historical ``n_workers=``/``backend=``/``runner=`` kwargs on
-``NetworkAnalyzer.bode``, ``bist.run_yield_analysis``,
-``bist.coverage.fault_coverage`` and ``FaultCampaign.run`` are
-deprecation shims that build a one-shot session here
-(:func:`legacy_session`) and forward — proven bit-identical by
-``tests/api/test_shims.py``.
+A session is the only place execution is chosen.  The plain entry
+points (``NetworkAnalyzer.bode``, ``bist.run_yield_analysis``,
+``bist.coverage.fault_coverage``, ``FaultCampaign.run`` without
+``session=``) take no execution kwargs: each runs on a default
+``Session()`` — serial, reference backend.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..core.config import AnalyzerConfig
@@ -760,52 +757,3 @@ class Session:
                 result,
                 counters,
             )
-
-
-# ----------------------------------------------------------------------
-# Legacy entry-point support
-# ----------------------------------------------------------------------
-
-def legacy_session(
-    where: str,
-    n_workers: int | None = None,
-    backend: str | None = None,
-    runner: BatchRunner | None = None,
-    dut: DUT | None = None,
-    config: AnalyzerConfig | None = None,
-    seed: int = 0,
-) -> Session:
-    """A one-shot session for a deprecated calling convention.
-
-    The pre-``repro.api`` entry points each re-plumbed execution by
-    hand via ``n_workers=``/``backend=``/``runner=`` kwargs.  Those
-    kwargs now warn and forward here: an explicit ``runner`` is adopted
-    as-is (sharing its cache and pool, exactly as before), otherwise a
-    fresh session is built from an equivalent policy.  Either way the
-    numbers are bit-identical to the historical direct-engine path.
-    """
-    passed = [
-        kwarg
-        for kwarg, value in (
-            ("n_workers", n_workers),
-            ("backend", backend),
-            ("runner", runner),
-        )
-        if value is not None
-    ]
-    if passed:
-        warnings.warn(
-            f"{where}: the {', '.join(passed)} keyword(s) are deprecated; "
-            f"construct a repro.api.Session (with an ExecutionPolicy) and "
-            f"call its uniform method surface instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    if runner is not None:
-        return Session(dut=dut, config=config, runner=runner)
-    policy = ExecutionPolicy(
-        backend=backend if backend is not None else "reference",
-        n_workers=n_workers if n_workers is not None else 1,
-        seed=seed,
-    )
-    return Session(dut=dut, config=config, policy=policy)

@@ -12,14 +12,15 @@ closes the loop from *measurement* to *test decision*:
 * :mod:`~repro.bist.coverage` — parametric fault-coverage evaluation of
   a test program against a fault catalog;
 * :func:`~repro.bist.montecarlo.run_yield_analysis` — Monte-Carlo yield
-  analysis of a lot, batch-executed by :mod:`repro.engine` (pass
-  ``n_workers`` to parallelize).
+  analysis of a lot, batch-executed by :mod:`repro.engine` (to
+  parallelize, call :meth:`repro.api.Session.yield_lot` on a session
+  with ``ExecutionPolicy(n_workers=...)``).
 """
 
 from .limits import MaskSegment, SpecMask
 from .program import BISTProgram, BISTReport, PointVerdict
 from .coverage import CoverageReport, FaultTrial, fault_coverage
-from .montecarlo import DeviceTrial, YieldReport, run_yield_analysis, yield_analysis
+from .montecarlo import DeviceTrial, YieldReport, run_yield_analysis
 
 __all__ = [
     "MaskSegment",
@@ -33,5 +34,4 @@ __all__ = [
     "DeviceTrial",
     "YieldReport",
     "run_yield_analysis",
-    "yield_analysis",
 ]

@@ -84,31 +84,23 @@ def fault_coverage(
     faults,
     program: BISTProgram,
     config: AnalyzerConfig | None = None,
-    n_workers: int | None = None,  # repro: allow[REP002]: documented deprecation shim — forwards to Session.fault_coverage
-    runner=None,
-    backend: str | None = None,  # repro: allow[REP002]: documented deprecation shim — forwards to Session.fault_coverage
 ) -> CoverageReport:
     """Evaluate a BIST program's coverage of a fault catalog.
 
-    A thin shim over the unified session layer: the workload lives in
-    :meth:`repro.api.session.Session.fault_coverage` (good device
-    measured first and required to pass, one cached calibration for the
-    whole catalog, bit-identical at any worker count or backend).  The
-    historical ``n_workers=``/``runner=``/``backend=`` kwargs are
-    deprecated — they emit a :class:`DeprecationWarning` and forward to
-    a one-shot session with bit-identical results.  Prefer::
+    Runs on a default (serial, reference-backend) session: the workload
+    lives in :meth:`repro.api.session.Session.fault_coverage` (good
+    device measured first and required to pass, one cached calibration
+    for the whole catalog).  For another backend or worker count, build
+    the session yourself::
 
         from repro.api import ExecutionPolicy, Session
 
         Session(good_dut, policy=ExecutionPolicy(backend="vectorized"))
             .fault_coverage(faults, program)
     """
-    from ..api.session import legacy_session
+    from ..api.session import Session
 
     config = config if config is not None else AnalyzerConfig.ideal()
-    session = legacy_session(
-        "fault_coverage", n_workers=n_workers, backend=backend, runner=runner
-    )
-    return session.fault_coverage(
+    return Session().fault_coverage(
         faults, program, dut=good_dut, config=config
     ).raw

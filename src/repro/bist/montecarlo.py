@@ -50,11 +50,13 @@ class YieldReport:
 
     @classmethod
     def from_trials(cls, trials, ambiguous_passes: bool) -> YieldReport:
-        """The report of a lot's trials, given in device order."""
-        trials = list(trials)
+        """The report of a lot's ``(verdict, truly_good)`` pairs, one per
+        device in device order (what ``BatchRunner.run_trials``
+        returns)."""
+        verdicts, truly_good = tuple(zip(*trials)) or ((), ())
         return cls(
-            verdicts=tuple(t.verdict for t in trials),
-            truly_good=tuple(bool(t.truly_good) for t in trials),
+            verdicts=verdicts,
+            truly_good=truly_good,
             ambiguous_passes=ambiguous_passes,
         )
 
@@ -155,9 +157,6 @@ def run_yield_analysis(
     seed: int = 0,
     config: AnalyzerConfig | None = None,
     ambiguous_passes: bool = False,
-    n_workers: int | None = None,  # repro: allow[REP002]: documented deprecation shim — forwards to Session.yield_lot
-    runner=None,
-    backend: str | None = None,  # repro: allow[REP002]: documented deprecation shim — forwards to Session.yield_lot
 ) -> YieldReport:
     """Simulate a production lot through the BIST program.
 
@@ -165,13 +164,10 @@ def run_yield_analysis(
     nominal design (``component_sigma`` relative), runs the go/no-go
     program, and is compared against its *analytic* spec compliance.
 
-    This entry point is a thin shim over the unified session layer:
-    execution routes through :meth:`repro.api.session.Session.yield_lot`
-    (one shared calibration cache, deterministic per-job seeding, the
-    engine's backend/parallelism equivalence contract).  The historical
-    ``n_workers=``/``runner=``/``backend=`` kwargs are deprecated — they
-    emit a :class:`DeprecationWarning` and forward to a one-shot session
-    with bit-identical results.  Prefer::
+    Runs on a default (serial, reference-backend) session
+    (:meth:`repro.api.session.Session.yield_lot`: deterministic per-job
+    seeding, one cached calibration).  For another backend or worker
+    count, build the session yourself::
 
         from repro.api import ExecutionPolicy, Session
 
@@ -179,16 +175,10 @@ def run_yield_analysis(
             nominal, mask, program, n_devices=50, config=config
         )
     """
-    from ..api.session import legacy_session
+    from ..api.session import Session
 
     config = config if config is not None else default_yield_config(program)
-    session = legacy_session(
-        "run_yield_analysis",
-        n_workers=n_workers,
-        backend=backend,
-        runner=runner,
-    )
-    return session.yield_lot(
+    return Session().yield_lot(
         nominal,
         mask,
         program,
@@ -198,26 +188,3 @@ def run_yield_analysis(
         seed=seed,
         config=config,
     ).raw
-
-
-def yield_analysis(
-    nominal: FilterComponents,
-    mask: SpecMask,
-    program: BISTProgram,
-    n_devices: int = 50,
-    component_sigma: float = 0.02,
-    seed: int = 0,
-    config: AnalyzerConfig | None = None,
-    ambiguous_passes: bool = False,
-) -> YieldReport:
-    """Serial-API wrapper over :func:`run_yield_analysis` (one worker)."""
-    return run_yield_analysis(
-        nominal,
-        mask,
-        program,
-        n_devices=n_devices,
-        component_sigma=component_sigma,
-        seed=seed,
-        config=config,
-        ambiguous_passes=ambiguous_passes,
-    )

@@ -321,25 +321,20 @@ class NetworkAnalyzer:
         frequencies,
         m_periods: int | None = None,
         calibration: CalibrationResult | None = None,
-        n_workers: int | None = None,  # repro: allow[REP002]: documented deprecation shim — forwards to Session.sweep
-        backend: str | None = None,  # repro: allow[REP002]: documented deprecation shim — forwards to Session.sweep
     ) -> list[GainPhaseMeasurement]:
         """Sweep the master clock over a list of tone frequencies.
 
-        A thin shim over the unified session layer
+        Runs on a default (serial, reference-backend) session
         (:meth:`repro.api.session.Session.sweep`): each sweep point is
         an independent job with its own derived noise substream, results
-        bit-identical at any worker count or backend (and returned in
-        the requested frequency order).  The historical
-        ``n_workers=``/``backend=`` kwargs are deprecated — they emit a
-        :class:`DeprecationWarning` and forward to a one-shot session
-        with bit-identical results.  Prefer::
+        returned in the requested frequency order.  For another backend
+        or worker count, build the session yourself::
 
             from repro.api import ExecutionPolicy, Session
 
             Session(dut, config, ExecutionPolicy(n_workers=4)).bode([...])
         """
-        from ..api.session import legacy_session
+        from ..api.session import Session
 
         frequencies = list(frequencies)
         if not frequencies:
@@ -350,14 +345,7 @@ class NetworkAnalyzer:
                 "no calibration available; run calibrate() first (the paper's "
                 "one-off bypass measurement)"
             )
-        session = legacy_session(
-            "NetworkAnalyzer.bode",
-            n_workers=n_workers,
-            backend=backend,
-            dut=self.dut,
-            config=self.config,
-        )
-        return session.sweep(
+        return Session(self.dut, self.config).sweep(
             frequencies, m_periods=m_periods, calibration=cal
         ).raw
 

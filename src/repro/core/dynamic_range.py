@@ -100,9 +100,6 @@ def evaluator_dynamic_range(
     levels_dbc=(-30.0, -40.0, -50.0, -60.0, -70.0, -80.0, -90.0),
     threshold_db: float = 3.0,
     oversampling_ratio: int = OVERSAMPLING_RATIO,
-    # repro: allow[REP002]: documented deprecation shim — forwards into an
-    # ExecutionPolicy below; new callers use Session.dynamic_range()
-    n_workers: int = 1,
     runner=None,
 ) -> DynamicRangeResult:
     """Weak-tone detectability of the evaluator alone (Fig. 9 style).
@@ -113,10 +110,10 @@ def evaluator_dynamic_range(
     ``threshold_db``.
 
     Each level is an independent, deterministic probe, dispatched
-    through the batch engine: ``n_workers > 1`` runs them on worker
-    processes with identical numbers (pass an existing
-    :class:`~repro.engine.runner.BatchRunner` as ``runner`` to reuse its
-    pool; its calibration cache is not involved).
+    through the batch engine: on ``runner`` when given (its worker pool
+    is used, its calibration cache is not involved), else serially.
+    :meth:`repro.api.session.Session.dynamic_range` passes its own
+    runner, so a session's policy decides the parallelism.
     """
     from ..api.policy import ExecutionPolicy
     from ..engine.jobs import EvaluatorProbeJob, execute_evaluator_probe
@@ -140,10 +137,7 @@ def evaluator_dynamic_range(
         )
         for level in sorted(levels_dbc, reverse=True)
     ]
-    if runner is not None:
-        engine = runner
-    else:
-        engine = ExecutionPolicy(n_workers=n_workers).build_runner()
+    engine = runner if runner is not None else ExecutionPolicy().build_runner()
     probes = engine.map_jobs(execute_evaluator_probe, jobs)
     return DynamicRangeResult(
         m_periods=m_periods,

@@ -17,9 +17,10 @@ schedulable batches:
 * :mod:`repro.engine.jobs` — the picklable job payloads and their
   worker-process entry points.
 
-The serial public APIs (:meth:`repro.NetworkAnalyzer.bode`,
-:func:`repro.bist.run_yield_analysis`, the CLI ``sweep`` and ``yield``
-subcommands) are thin wrappers over this engine.
+Every workload reaches this engine through one
+:class:`repro.api.Session`, whose policy builds the runner; the plain
+serial APIs (:meth:`repro.NetworkAnalyzer.bode`,
+:func:`repro.bist.run_yield_analysis`) run on a default session.
 """
 
 from .cache import CalibrationCache, acquire_calibration

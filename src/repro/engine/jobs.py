@@ -185,9 +185,10 @@ class DeviceTrialJob:
     calibration: CalibrationResult | None
 
 
-def execute_device_trial(job: DeviceTrialJob):
-    """Run one device through the BIST program (worker-process entry)."""
-    from ..bist.montecarlo import DeviceTrial, _truly_good
+def execute_device_trial(job: DeviceTrialJob) -> tuple[str, bool]:
+    """Run one device through the BIST program (worker-process entry):
+    its ``(verdict, truly_good)`` pair."""
+    from ..bist.montecarlo import _truly_good
     from ..dut.statespace import stack_population
 
     config = config_for_job(job.config, "trial", job.index)
@@ -196,12 +197,9 @@ def execute_device_trial(job: DeviceTrialJob):
     if job.calibration is not None:
         analyzer.use_calibration(job.calibration)
     report = job.program.run(analyzer)
-    return DeviceTrial(
-        device_index=job.index,
-        verdict=report.verdict,
-        truly_good=_truly_good(
-            stack_population([device], config.dut_settle_tolerance),
-            job.mask,
-            job.program.frequencies,
-        )[0],
-    )
+    truly_good = _truly_good(
+        stack_population([device], config.dut_settle_tolerance),
+        job.mask,
+        job.program.frequencies,
+    )[0]
+    return report.verdict, truly_good

@@ -788,8 +788,9 @@ class BatchRunner:
         component_sigma: float,
         seed: int,
         config: AnalyzerConfig,
-    ) -> list:
-        """Simulate a lot of devices through a BIST program.
+    ) -> list[tuple[str, bool]]:
+        """Simulate a lot of devices through a BIST program: each
+        device's ``(verdict, truly_good)`` pair, in device order.
 
         Component values are drawn serially from one seeded RNG in
         device order (so the lot is a function of ``seed`` alone —

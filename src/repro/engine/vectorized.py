@@ -935,9 +935,9 @@ def run_trials_vectorized(
     program,
     measurer: PopulationMeasurer,
     start_index: int = 0,
-) -> list:
+) -> list[tuple[str, bool]]:
     """One chunk of a Monte-Carlo lot as one call over every program
-    frequency.
+    frequency: each device's ``(verdict, truly_good)`` pair.
 
     ``population`` is the chunk in stacked form — the dispatcher draws
     its component values exactly as the reference path draws them (one
@@ -949,7 +949,7 @@ def run_trials_vectorized(
     interval rule (:func:`repro.bist.program.lot_verdicts`).
     ``start_index`` is the lot index of row 0.
     """
-    from ..bist.montecarlo import DeviceTrial, _truly_good
+    from ..bist.montecarlo import _truly_good
     from ..bist.program import lot_verdicts
 
     n = len(population)
@@ -965,14 +965,7 @@ def run_trials_vectorized(
         gain.split(len(frequencies)),
         [program.mask.limits_at(f) for f in frequencies],
     )
-    return [
-        DeviceTrial(
-            device_index=start_index + i,
-            verdict=verdict,
-            truly_good=good,
-        )
-        for i, (verdict, good) in enumerate(zip(verdicts, truly_good))
-    ]
+    return list(zip(verdicts, truly_good))
 
 
 def _probe_table(frequencies, devices: int) -> np.ndarray:

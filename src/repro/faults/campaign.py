@@ -91,46 +91,28 @@ class FaultCampaign:
 
     def run(
         self,
-        n_workers: int | None = None,  # repro: allow[REP002]: documented deprecation shim — forwards to Session.build_dictionary
-        runner=None,
         nominal: FaultSignature | None = None,
-        backend: str | None = None,  # repro: allow[REP002]: documented deprecation shim — forwards to Session.build_dictionary
-
         *,
         session=None,
     ) -> FaultDictionary:
         """Measure the whole catalog (plus the good device) once.
 
         The campaign executes on a :class:`~repro.api.session.Session`'s
-        resources — pass one as ``session`` to share its calibration
-        cache and worker pool across campaigns (and with every other
-        workload the session runs).  The historical
-        ``n_workers=``/``runner=``/``backend=`` kwargs are deprecated:
-        they emit a :class:`DeprecationWarning` and forward to a
-        one-shot session with bit-identical results.  A ``nominal``
-        signature already measured on this campaign's probe grid (e.g.
-        the fail-fast good-device check of
-        :func:`repro.bist.coverage.fault_coverage`) is adopted instead
-        of re-simulating the good device; the faulty devices keep the
-        seed indices they would have had in the full batch, so the
-        dictionary is bit-identical either way.
+        resources — pass one as ``session`` to choose the backend and
+        worker count and to share its calibration cache and worker pool
+        across campaigns (and with every other workload the session
+        runs); without one it runs on a default serial session.  A
+        ``nominal`` signature already measured on this campaign's probe
+        grid (e.g. the fail-fast good-device check of
+        :meth:`repro.api.session.Session.fault_coverage`) is adopted
+        instead of re-simulating the good device; the faulty devices
+        keep the seed indices they would have had in the full batch, so
+        the dictionary is bit-identical either way.
         """
-        if session is not None:
-            if n_workers is not None or backend is not None or runner is not None:
-                raise ConfigError(
-                    "FaultCampaign.run: pass either session= or the "
-                    "deprecated n_workers=/backend=/runner= kwargs, not "
-                    "both (the session's policy decides execution)"
-                )
-        else:
-            from ..api.session import legacy_session
+        if session is None:
+            from ..api.session import Session
 
-            session = legacy_session(
-                "FaultCampaign.run",
-                n_workers=n_workers,
-                backend=backend,
-                runner=runner,
-            )
+            session = Session()
         engine = session.runner
         with session.obs.span(
             "faults.campaign",
@@ -180,8 +162,6 @@ def measure_signature(
     config: AnalyzerConfig | None = None,
     m_periods: int | None = None,
     label: str = "measured",
-    runner=None,
-    backend: str | None = None,  # repro: allow[REP002]: documented deprecation shim — forwards to a one-shot Session
     session=None,
 ) -> FaultSignature:
     """Measure one device's signature on the dictionary's probe grid.
@@ -191,24 +171,13 @@ def measure_signature(
     (same calibration economy, same per-job seeding scheme), so its
     signature is directly comparable.  Pass a
     :class:`~repro.api.session.Session` to reuse its cache and pool;
-    the historical ``runner=``/``backend=`` kwargs are deprecated and
-    forward to a one-shot session with bit-identical results.
+    without one it runs on a default serial session.
     """
-    if session is not None:
-        if runner is not None or backend is not None:
-            raise ConfigError(
-                "measure_signature: pass either session= or the deprecated "
-                "runner=/backend= kwargs, not both (the session's policy "
-                "decides execution)"
-            )
-        engine = session.runner
-    else:
-        from ..api.session import legacy_session
+    if session is None:
+        from ..api.session import Session
 
-        session = legacy_session(
-            "measure_signature", backend=backend, runner=runner
-        )
-        engine = session.runner
+        session = Session()
+    engine = session.runner
     config = config if config is not None else AnalyzerConfig.ideal()
     with session.obs.span(
         "faults.measure_signature",

@@ -25,8 +25,6 @@ from __future__ import annotations
 import pathlib
 from dataclasses import dataclass, replace
 
-from ..engine.cache import CalibrationCache
-from ..engine.runner import BatchRunner
 from ..errors import ConfigError
 from .compiler import run_scenario
 from .result import DriftReport, ScenarioResult, diff
@@ -43,8 +41,6 @@ def record(
     path,
     backend: str | None = None,
     n_workers: int | None = None,
-    runner: BatchRunner | None = None,
-    cache: CalibrationCache | None = None,
     obs=None,
     chunk_size: int | None = None,
 ) -> ScenarioResult:
@@ -61,8 +57,6 @@ def record(
         spec,
         backend=backend,
         n_workers=n_workers,
-        runner=runner,
-        cache=cache,
         obs=obs,
         chunk_size=chunk_size,
     )
@@ -114,8 +108,6 @@ def check(
     path,
     backend: str | None = None,
     n_workers: int | None = None,
-    runner: BatchRunner | None = None,
-    cache: CalibrationCache | None = None,
     update: bool = False,
     obs=None,
     chunk_size: int | None = None,
@@ -137,8 +129,6 @@ def check(
         baseline.spec,
         backend=backend,
         n_workers=n_workers,
-        runner=runner,
-        cache=cache,
         obs=obs,
         chunk_size=chunk_size,
     )

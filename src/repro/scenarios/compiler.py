@@ -41,8 +41,6 @@ from ..core.sweep import FrequencySweepPlan
 from ..dut.active_rc import ActiveRCLowpass, design_mfb_lowpass
 from ..dut.faults import fault_catalog, full_catalog
 from ..dut.nonlinear import WienerDUT, polynomial_for_distortion
-from ..engine.cache import CalibrationCache
-from ..engine.runner import BatchRunner
 from ..errors import ConfigError
 from ..faults.campaign import FaultCampaign
 from ..faults.dictionary import NOMINAL_LABEL
@@ -133,8 +131,6 @@ class CompiledScenario:
         self,
         backend: str | None = None,
         n_workers: int | None = None,
-        runner: BatchRunner | None = None,
-        cache: CalibrationCache | None = None,
         session: Session | None = None,
         obs=None,
         chunk_size: int | None = None,
@@ -142,10 +138,10 @@ class CompiledScenario:
         """Execute every step in order on one shared session.
 
         ``backend``, ``n_workers`` and ``chunk_size`` override the
-        spec's defaults; pass an existing ``session`` (or legacy
-        ``runner``) to also share its calibration cache and worker pool
-        across scenarios (the overrides are then ignored in favour of
-        the session's own policy).  ``obs`` threads a trace recorder
+        spec's defaults; pass an existing ``session`` to also share its
+        calibration cache and worker pool across scenarios (the
+        overrides are then ignored in favour of the session's own
+        policy).  ``obs`` threads a trace recorder
         through the one-shot session (see :mod:`repro.obs`); an adopted
         session already brings its own recorder.
         """
@@ -156,8 +152,6 @@ class CompiledScenario:
                     "session brings its own trace recorder"
                 )
             return self._run_on(session)
-        if runner is not None:
-            return self._run_on(Session(runner=runner, obs=obs))
         policy = ExecutionPolicy(
             backend=backend if backend is not None else self.spec.backend,
             n_workers=n_workers if n_workers is not None else self.spec.n_workers,
@@ -166,7 +160,7 @@ class CompiledScenario:
                 chunk_size if chunk_size is not None else self.spec.chunk_size
             ),
         )
-        with Session(policy=policy, cache=cache, obs=obs) as shared:
+        with Session(policy=policy, obs=obs) as shared:
             return self._run_on(shared)
 
     def _run_on(self, session: Session) -> ScenarioResult:
@@ -204,8 +198,6 @@ def run_scenario(
     spec: ScenarioSpec,
     backend: str | None = None,
     n_workers: int | None = None,
-    runner: BatchRunner | None = None,
-    cache: CalibrationCache | None = None,
     session: Session | None = None,
     obs=None,
     chunk_size: int | None = None,
@@ -214,8 +206,6 @@ def run_scenario(
     return compile_scenario(spec).run(
         backend=backend,
         n_workers=n_workers,
-        runner=runner,
-        cache=cache,
         session=session,
         obs=obs,
         chunk_size=chunk_size,

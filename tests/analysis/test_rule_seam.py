@@ -134,7 +134,7 @@ class TestSuppression:
         findings = lint(
             "def sweep(\n"
             "    frequencies,\n"
-            "    n_workers=None,  # repro: allow[REP002]: deprecation shim\n"
+            "    n_workers=None,  # repro: allow[REP002]: compute-backend selector\n"
             "):\n"
             "    return frequencies\n"
         )

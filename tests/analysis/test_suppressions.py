@@ -27,7 +27,7 @@ class TestParsing:
 
     def test_standalone_targets_next_code_line(self):
         supps, problems = scan_suppressions(
-            "# repro: allow[REP002]: deprecation shim\n"
+            "# repro: allow[REP002]: compute-backend selector\n"
             "\n"
             "def f(n_workers=1):\n"
             "    pass\n",

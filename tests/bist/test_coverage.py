@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import ExecutionPolicy, Session
 from repro.bist.coverage import fault_coverage
 from repro.bist.limits import SpecMask
 from repro.bist.program import BISTProgram
@@ -9,14 +10,6 @@ from repro.core.config import AnalyzerConfig
 from repro.dut.active_rc import ActiveRCLowpass
 from repro.dut.faults import ParametricFault
 from repro.errors import ConfigError
-
-
-# These suites deliberately exercise the historical n_workers=/backend=/
-# runner= entry points, now deprecation shims over repro.api.Session (the
-# warning itself is asserted in tests/api/test_shims.py); filter the
-# expected DeprecationWarning so legacy-path coverage stays clean even
-# under -W error.
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 FREQS = [300.0, 1000.0, 2000.0]
 
@@ -70,22 +63,19 @@ class TestEngineExecution:
             ParametricFault("c1", 0.3),
         ]
         serial = fault_coverage(golden, faults, program)
-        parallel = fault_coverage(golden, faults, program, n_workers=2)
-        assert [(t.fault.label, t.verdict) for t in serial.trials] == [
-            (t.fault.label, t.verdict) for t in parallel.trials
-        ]
+        with Session(golden, policy=ExecutionPolicy(n_workers=2)) as session:
+            parallel = session.fault_coverage(faults, program).raw
+        assert serial == parallel  # every trial's bounds, not just verdicts
 
     def test_calibration_paid_once_for_the_catalog(self, setup):
-        from repro.engine import BatchRunner
-
         golden, program = setup
-        runner = BatchRunner(n_workers=1)
         faults = [ParametricFault("c2", 0.5), ParametricFault("r3", 0.5)]
-        fault_coverage(golden, faults, program, runner=runner)
-        assert runner.cache.misses == 1
+        with Session(golden) as session:
+            session.fault_coverage(faults, program)
+        assert session.cache.misses == 1
         # The fail-fast good-device measurement is adopted by the
         # campaign: the catalog batch holds exactly one job per fault.
-        assert runner.last_stats.n_jobs == len(faults)
+        assert session.runner.last_stats.n_jobs == len(faults)
 
     def test_program_with_repeated_frequency_still_works(self):
         """A program may list a frequency twice; the campaign measures
@@ -101,19 +91,15 @@ class TestEngineExecution:
 
     def test_miscentred_mask_fails_fast(self):
         """The good-device check raises before the catalog is measured."""
-        from repro.engine import BatchRunner
-
         golden = ActiveRCLowpass.from_specs(cutoff=1000.0)
         wrong = ActiveRCLowpass.from_specs(cutoff=300.0)
         mask = SpecMask.from_golden(wrong, [1000.0], tolerance_db=0.5)
         program = BISTProgram(mask, [1000.0], m_periods=20)
-        runner = BatchRunner(n_workers=1)
-        with pytest.raises(ConfigError, match="inconsistent"):
-            fault_coverage(
-                golden, [ParametricFault("c1", 0.2)], program, runner=runner
-            )
+        with Session(golden) as session:
+            with pytest.raises(ConfigError, match="inconsistent"):
+                session.fault_coverage([ParametricFault("c1", 0.2)], program)
         # Only the good device was dispatched, not the catalog.
-        assert runner.last_stats.n_jobs == 1
+        assert session.runner.last_stats.n_jobs == 1
 
     def test_catastrophic_faults_all_detected(self, setup):
         """Shorts and opens are gross: a +/-2 dB mask must fail every

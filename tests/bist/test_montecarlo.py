@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.bist.limits import SpecMask
-from repro.bist.montecarlo import YieldReport, yield_analysis
+from repro.bist.montecarlo import YieldReport, run_yield_analysis
 from repro.bist.program import BISTProgram
 from repro.dut.active_rc import ActiveRCLowpass, design_mfb_lowpass
 from repro.errors import ConfigError
@@ -25,7 +25,7 @@ def setup():
 class TestYield:
     def test_tight_lot_all_pass(self, setup):
         nominal, mask, program = setup
-        report = yield_analysis(
+        report = run_yield_analysis(
             nominal, mask, program, n_devices=8, component_sigma=0.002, seed=1
         )
         assert report.test_yield == 1.0
@@ -34,10 +34,10 @@ class TestYield:
 
     def test_loose_lot_loses_yield(self, setup):
         nominal, mask, program = setup
-        tight = yield_analysis(
+        tight = run_yield_analysis(
             nominal, mask, program, n_devices=12, component_sigma=0.002, seed=2
         )
-        loose = yield_analysis(
+        loose = run_yield_analysis(
             nominal, mask, program, n_devices=12, component_sigma=0.08, seed=2
         )
         assert loose.test_yield < tight.test_yield
@@ -46,14 +46,14 @@ class TestYield:
         """With a competent test, escapes + overkill stay a small
         fraction of the lot even at meaningful spread."""
         nominal, mask, program = setup
-        report = yield_analysis(
+        report = run_yield_analysis(
             nominal, mask, program, n_devices=16, component_sigma=0.03, seed=3
         )
         assert report.escape_rate + report.overkill_rate <= 0.25
 
     def test_ambiguous_policy(self, setup):
         nominal, mask, program = setup
-        strict = yield_analysis(
+        strict = run_yield_analysis(
             nominal, mask, program, n_devices=10, component_sigma=0.04,
             seed=4, ambiguous_passes=False,
         )
@@ -62,18 +62,18 @@ class TestYield:
 
     def test_reproducible(self, setup):
         nominal, mask, program = setup
-        a = yield_analysis(nominal, mask, program, n_devices=5,
-                           component_sigma=0.02, seed=7)
-        b = yield_analysis(nominal, mask, program, n_devices=5,
-                           component_sigma=0.02, seed=7)
+        a = run_yield_analysis(nominal, mask, program, n_devices=5,
+                               component_sigma=0.02, seed=7)
+        b = run_yield_analysis(nominal, mask, program, n_devices=5,
+                               component_sigma=0.02, seed=7)
         assert [t.verdict for t in a.trials] == [t.verdict for t in b.trials]
 
     def test_validation(self, setup):
         nominal, mask, program = setup
         with pytest.raises(ConfigError):
-            yield_analysis(nominal, mask, program, n_devices=0)
+            run_yield_analysis(nominal, mask, program, n_devices=0)
         with pytest.raises(ConfigError):
-            yield_analysis(nominal, mask, program, component_sigma=-0.1)
+            run_yield_analysis(nominal, mask, program, component_sigma=-0.1)
 
 
 class TestReportArithmetic:
@@ -94,7 +94,8 @@ class TestReportColumns:
         assert [(t.device_index, t.verdict, t.truly_good) for t in report.trials] == [
             (0, "pass", True), (1, "ambiguous", False), (2, "fail", True)
         ]
-        assert YieldReport.from_trials(report.trials, True) == report
+        pairs = [("pass", True), ("ambiguous", False), ("fail", True)]
+        assert YieldReport.from_trials(pairs, True) == report
         assert report.n_devices == 3
         assert report.test_yield == 2 / 3
         assert report.escape_rate == 1 / 3

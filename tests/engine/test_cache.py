@@ -11,14 +11,6 @@ from repro.engine.cache import CalibrationCache, acquire_calibration
 from repro.errors import ConfigError
 
 
-
-# These suites deliberately exercise the historical n_workers=/backend=/
-# runner= entry points, now deprecation shims over repro.api.Session (the
-# warning itself is asserted in tests/api/test_shims.py); filter the
-# expected DeprecationWarning so legacy-path coverage stays clean even
-# under -W error.
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
-
 @pytest.fixture
 def cache():
     return CalibrationCache()
@@ -141,9 +133,9 @@ class TestConcurrentAccess:
         """The satellite scenario end to end: a fault campaign's jobs all
         lean on one cached calibration while campaigns run concurrently
         on threads sharing the cache."""
+        from repro.api import Session
         from repro.dut.active_rc import ActiveRCLowpass
         from repro.dut.faults import fault_catalog
-        from repro.engine import BatchRunner
         from repro.faults import FaultCampaign
 
         dut = ActiveRCLowpass.from_specs(1000.0)
@@ -152,7 +144,8 @@ class TestConcurrentAccess:
         )
 
         def run_campaign(_):
-            return campaign.run(runner=BatchRunner(n_workers=1, cache=cache))
+            with Session(cache=cache) as session:
+                return campaign.run(session=session)
 
         n_campaigns = 4
         with ThreadPoolExecutor(max_workers=n_campaigns) as pool:

@@ -193,19 +193,12 @@ class TestExactChannelInvariance:
             n_devices=14, component_sigma=0.05, seed=11, config=config
         )
 
-        def key(trials):
-            return [(t.device_index, t.verdict, t.truly_good) for t in trials]
-
-        unchunked = key(
-            BatchRunner(backend=backend).run_trials(
-                nominal, mask, program, **kwargs
-            )
+        unchunked = BatchRunner(backend=backend).run_trials(
+            nominal, mask, program, **kwargs
         )
         for chunk in (1, 5, 14, 50):
-            chunked = key(
-                BatchRunner(backend=backend, chunk_size=chunk).run_trials(
-                    nominal, mask, program, **kwargs
-                )
+            chunked = BatchRunner(backend=backend, chunk_size=chunk).run_trials(
+                nominal, mask, program, **kwargs
             )
             assert chunked == unchunked
 
@@ -243,22 +236,15 @@ class TestExactChannelInvariance:
             n_devices=n_devices, component_sigma=sigma, seed=seed, config=config
         )
 
-        def key(trials):
-            return [(t.device_index, t.verdict, t.truly_good) for t in trials]
-
-        reference = key(
-            BatchRunner(backend="reference").run_trials(
-                nominal, mask, program, **kwargs
-            )
+        reference = BatchRunner(backend="reference").run_trials(
+            nominal, mask, program, **kwargs
         )
-        truly_good = [t[2] for t in reference]
+        truly_good = [good for _, good in reference]
         assert any(truly_good) and not all(truly_good)
         for chunk in (1, 7, n_devices):
-            vectorized = key(
-                BatchRunner(backend="vectorized", chunk_size=chunk).run_trials(
-                    nominal, mask, program, **kwargs
-                )
-            )
+            vectorized = BatchRunner(
+                backend="vectorized", chunk_size=chunk
+            ).run_trials(nominal, mask, program, **kwargs)
             assert vectorized == reference
 
     def test_start_index_offsets_compose_with_chunking(self):

@@ -259,7 +259,7 @@ class TestRunnerChunks:
             nominal, mask, program, n_devices=n_devices,
             component_sigma=sigma, seed=seed, config=config,
         )
-        assert [t.verdict for t in trials] == expected
+        assert [verdict for verdict, _ in trials] == expected
 
 
 def _gains(measurements):

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.api import ExecutionPolicy, Session
 from repro.bist.limits import SpecMask
-from repro.bist.montecarlo import run_yield_analysis, yield_analysis
+from repro.bist.montecarlo import default_yield_config, run_yield_analysis
 from repro.bist.program import BISTProgram
 from repro.core.analyzer import NetworkAnalyzer
 from repro.core.bode import BodeResult
@@ -12,14 +13,6 @@ from repro.core.config import AnalyzerConfig
 from repro.dut.active_rc import ActiveRCLowpass, design_mfb_lowpass
 from repro.engine import BatchRunner, CalibrationCache
 from repro.errors import CalibrationError, ConfigError
-
-
-# These suites deliberately exercise the historical n_workers=/backend=/
-# runner= entry points, now deprecation shims over repro.api.Session (the
-# warning itself is asserted in tests/api/test_shims.py); filter the
-# expected DeprecationWarning so legacy-path coverage stays clean even
-# under -W error.
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 FREQS = [250.0, 700.0, 1000.0, 2400.0, 6000.0]
 
@@ -77,10 +70,10 @@ class TestSweepDeterminism:
     def test_bode_n_workers_identical(self, dut):
         cfg = AnalyzerConfig.ideal(m_periods=20)
         an = NetworkAnalyzer(dut, cfg)
-        an.calibrate(1000.0)
-        assert _sweep_values(an.bode(FREQS)) == _sweep_values(
-            an.bode(FREQS, n_workers=2)
-        )
+        cal = an.calibrate(1000.0)
+        with Session(dut, cfg, ExecutionPolicy(n_workers=2)) as session:
+            parallel = session.sweep(FREQS, calibration=cal).raw
+        assert _sweep_values(an.bode(FREQS)) == _sweep_values(parallel)
 
     def test_run_bode_sorts_and_packages(self, dut):
         cfg = AnalyzerConfig.ideal(m_periods=20)
@@ -188,23 +181,24 @@ class TestCalibrationSharing:
         assert cache.hits == 1
 
 
+def _session_lot(mc_setup, n_workers, **kwargs):
+    """The lot on a ``Session`` of ``n_workers``, configured exactly as
+    the plain :func:`run_yield_analysis` configures it."""
+    nominal, mask, program = mc_setup
+    config = default_yield_config(program)
+    with Session(policy=ExecutionPolicy(n_workers=n_workers)) as session:
+        return session.yield_lot(
+            nominal, mask, program, config=config, **kwargs
+        ).raw
+
+
 class TestYieldDeterminism:
     def test_parallel_equals_serial(self, mc_setup):
         nominal, mask, program = mc_setup
         kwargs = dict(n_devices=8, component_sigma=0.03, seed=3)
         serial = run_yield_analysis(nominal, mask, program, **kwargs)
-        parallel = run_yield_analysis(
-            nominal, mask, program, n_workers=4, **kwargs
-        )
+        parallel = _session_lot(mc_setup, 4, **kwargs)
         assert serial.trials == parallel.trials
-
-    def test_legacy_wrapper_matches(self, mc_setup):
-        nominal, mask, program = mc_setup
-        kwargs = dict(n_devices=6, component_sigma=0.02, seed=7)
-        assert (
-            yield_analysis(nominal, mask, program, **kwargs).trials
-            == run_yield_analysis(nominal, mask, program, **kwargs).trials
-        )
 
     def test_lot_is_a_function_of_seed(self, mc_setup):
         """The drawn lot depends on the seed alone, not on scheduling:
@@ -213,25 +207,20 @@ class TestYieldDeterminism:
         a = run_yield_analysis(
             nominal, mask, program, n_devices=5, component_sigma=0.08, seed=1
         )
-        b = run_yield_analysis(
-            nominal, mask, program, n_devices=5, component_sigma=0.08,
-            seed=1, n_workers=3,
-        )
+        b = _session_lot(mc_setup, 3, n_devices=5, component_sigma=0.08, seed=1)
         assert a.trials == b.trials
 
     def test_shared_runner_reuses_calibration(self, mc_setup):
         nominal, mask, program = mc_setup
-        runner = BatchRunner(n_workers=1)
-        run_yield_analysis(
-            nominal, mask, program, n_devices=3, component_sigma=0.02,
-            seed=1, runner=runner,
-        )
-        run_yield_analysis(
-            nominal, mask, program, n_devices=3, component_sigma=0.02,
-            seed=2, runner=runner,
-        )
-        assert runner.cache.misses == 1
-        assert runner.cache.hits == 1
+        config = default_yield_config(program)
+        with Session(runner=BatchRunner(n_workers=1)) as session:
+            for seed in (1, 2):
+                session.yield_lot(
+                    nominal, mask, program, n_devices=3,
+                    component_sigma=0.02, seed=seed, config=config,
+                )
+        assert session.cache.misses == 1
+        assert session.cache.hits == 1
 
     def test_validation(self, mc_setup):
         nominal, mask, program = mc_setup

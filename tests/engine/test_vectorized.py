@@ -11,6 +11,7 @@ functions), bounded here at a few ulp.
 import numpy as np
 import pytest
 
+from repro.api import ExecutionPolicy, Session
 from repro.bist.limits import SpecMask
 from repro.bist.montecarlo import run_yield_analysis
 from repro.bist.program import BISTProgram
@@ -26,15 +27,8 @@ from repro.faults.campaign import FaultCampaign
 from repro.sc.opamp import OpAmpModel
 from tests.engine.conftest import BLOCK_AT, SPLIT_AT
 
-
-# These suites deliberately exercise the historical n_workers=/backend=/
-# runner= entry points, now deprecation shims over repro.api.Session (the
-# warning itself is asserted in tests/api/test_shims.py); filter the
-# expected DeprecationWarning so legacy-path coverage stays clean even
-# under -W error.
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
-
 TIGHT = dict(rel=1e-12, abs=1e-15)
+VECTORIZED = ExecutionPolicy(backend="vectorized")
 
 GOLDEN = ActiveRCLowpass.from_specs(cutoff=1000.0)
 FREQS = (300.0, 1000.0, 2000.0)
@@ -203,11 +197,14 @@ class TestSweepEquivalence:
         for a, b in zip(reference, vectorized):
             assert_measurements_equivalent(a, b)
 
-    def test_bode_forwards_backend(self):
+    def test_sweep_backend_equivalent(self):
         analyzer = NetworkAnalyzer(GOLDEN, IDEAL)
-        analyzer.calibrate(1000.0, m_periods=M)
+        cal = analyzer.calibrate(1000.0, m_periods=M)
         reference = analyzer.bode([500.0, 1000.0], m_periods=M)
-        vectorized = analyzer.bode([500.0, 1000.0], m_periods=M, backend="vectorized")
+        with Session(GOLDEN, IDEAL, VECTORIZED) as session:
+            vectorized = session.sweep(
+                [500.0, 1000.0], m_periods=M, calibration=cal
+            ).raw
         for a, b in zip(reference, vectorized):
             assert_measurements_equivalent(a, b)
 
@@ -269,21 +266,18 @@ class TestYieldEquivalence:
         vectorized = BatchRunner(backend="vectorized").run_trials(
             self.nominal, self.mask, self.program, **kwargs
         )
-        assert [(t.device_index, t.verdict, t.truly_good) for t in reference] == [
-            (t.device_index, t.verdict, t.truly_good) for t in vectorized
-        ]
+        assert reference == vectorized
 
-    def test_run_yield_analysis_forwards_backend(self):
-        report = run_yield_analysis(
-            self.nominal,
-            self.mask,
-            self.program,
-            n_devices=6,
-            component_sigma=0.03,
-            seed=3,
-            config=IDEAL,
-            backend="vectorized",
-        )
+    def test_yield_lot_backend_equivalent(self):
+        with Session(config=IDEAL, policy=VECTORIZED) as session:
+            report = session.yield_lot(
+                self.nominal,
+                self.mask,
+                self.program,
+                n_devices=6,
+                component_sigma=0.03,
+                seed=3,
+            ).raw
         baseline = run_yield_analysis(
             self.nominal,
             self.mask,
@@ -303,7 +297,8 @@ class TestCampaignBackend:
             GOLDEN, fault_catalog([-0.5, 0.5]), FREQS, config=IDEAL, m_periods=M
         )
         reference = campaign.run()
-        vectorized = campaign.run(backend="vectorized")
+        with Session(policy=VECTORIZED) as session:
+            vectorized = campaign.run(session=session)
         assert reference.labels == vectorized.labels
         for label in reference.labels:
             for a, b in zip(

@@ -2,21 +2,13 @@
 
 import pytest
 
+from repro.api import ExecutionPolicy, Session
 from repro.core.config import AnalyzerConfig
 from repro.core.sweep import FrequencySweepPlan
 from repro.dut.active_rc import ActiveRCLowpass
 from repro.dut.faults import ParametricFault, fault_catalog
-from repro.engine import BatchRunner, CalibrationCache
 from repro.errors import ConfigError
 from repro.faults import NOMINAL_LABEL, FaultCampaign, measure_signature
-
-
-# These suites deliberately exercise the historical n_workers=/backend=/
-# runner= entry points, now deprecation shims over repro.api.Session (the
-# warning itself is asserted in tests/api/test_shims.py); filter the
-# expected DeprecationWarning so legacy-path coverage stays clean even
-# under -W error.
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 FREQS = (300.0, 1000.0, 3000.0)
 M = 20
@@ -59,16 +51,16 @@ class TestCampaign:
         count — with a noisy config, where scheduling could bite."""
         config = AnalyzerConfig.typical(seed=7, m_periods=M)
         campaign = FaultCampaign(dut, catalog, FREQS, config=config, m_periods=M)
-        serial = campaign.run(n_workers=1)
-        with BatchRunner(n_workers=3) as runner:
-            parallel = campaign.run(runner=runner)
+        serial = campaign.run()
+        with Session(policy=ExecutionPolicy(n_workers=3)) as session:
+            parallel = campaign.run(session=session)
         assert _flatten(serial) == _flatten(parallel)
 
     def test_calibration_paid_once(self, dut, catalog):
-        runner = BatchRunner(n_workers=1, cache=CalibrationCache())
-        FaultCampaign(dut, catalog, FREQS, m_periods=M).run(runner=runner)
-        assert runner.cache.misses == 1
-        stats = runner.last_stats
+        with Session() as session:
+            FaultCampaign(dut, catalog, FREQS, m_periods=M).run(session=session)
+        assert session.cache.misses == 1
+        stats = session.runner.last_stats
         assert stats.n_jobs == len(catalog) + 1  # catalog + nominal
 
     def test_precomputed_nominal_skips_its_job_and_matches(self, dut, catalog):
@@ -77,12 +69,12 @@ class TestCampaign:
         config = AnalyzerConfig.typical(seed=7, m_periods=M)
         campaign = FaultCampaign(dut, catalog, FREQS, config=config, m_periods=M)
         full = campaign.run()
-        runner = BatchRunner(n_workers=1)
-        nominal = measure_signature(
-            dut, FREQS, config=config, m_periods=M, runner=runner
-        )
-        adopted = campaign.run(runner=runner, nominal=nominal)
-        assert runner.last_stats.n_jobs == len(catalog)  # no nominal job
+        with Session() as session:
+            nominal = measure_signature(
+                dut, FREQS, config=config, m_periods=M, session=session
+            )
+            adopted = campaign.run(nominal, session=session)
+        assert session.runner.last_stats.n_jobs == len(catalog)  # no nominal job
         assert _flatten(adopted) == _flatten(full)
 
     def test_precomputed_nominal_on_wrong_grid_rejected(self, dut, catalog):
@@ -92,12 +84,12 @@ class TestCampaign:
             campaign.run(nominal=wrong)
 
     def test_shared_runner_reuses_calibration_across_campaigns(self, dut, catalog):
-        runner = BatchRunner(n_workers=1)
         campaign = FaultCampaign(dut, catalog, FREQS, m_periods=M)
-        campaign.run(runner=runner)
-        campaign.run(runner=runner)
-        assert runner.cache.misses == 1
-        assert runner.cache.hits >= 1
+        with Session() as session:
+            campaign.run(session=session)
+            campaign.run(session=session)
+        assert session.cache.misses == 1
+        assert session.cache.hits >= 1
 
 
 class TestValidation:

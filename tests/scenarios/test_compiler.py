@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.engine import BatchRunner, CalibrationCache
+from repro.api import Session
+from repro.engine import CalibrationCache
 from repro.errors import ConfigError
 from repro.scenarios import (
     AnalyzerSettings,
@@ -105,10 +106,10 @@ class TestRun:
                 SweepStep(name="b", f_start=500.0, f_stop=2000.0, n_points=3),
             )
         )
-        runner = BatchRunner()
-        run_scenario(spec, runner=runner)
-        assert runner.cache.misses == 1
-        assert runner.cache.hits >= 1
+        with Session() as session:
+            run_scenario(spec, session=session)
+        assert session.cache.misses == 1
+        assert session.cache.hits >= 1
 
     def test_spec_backend_honored_and_recorded(self):
         result = run_scenario(small_spec(backend="vectorized"))

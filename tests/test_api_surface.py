@@ -88,7 +88,7 @@ class TestSubpackageExports:
     def test_bist_names(self):
         from repro import bist
 
-        for name in ("BISTProgram", "SpecMask", "fault_coverage", "yield_analysis"):
+        for name in ("BISTProgram", "SpecMask", "fault_coverage", "run_yield_analysis"):
             assert hasattr(bist, name), name
 
     def test_api_names(self):
@@ -100,7 +100,6 @@ class TestSubpackageExports:
             "Result",
             "SessionResult",
             "DiagnosisOutcome",
-            "legacy_session",
             "policy_to_payload",
             "sweep_channels",
         ):
