@@ -67,11 +67,15 @@ def sweep_channels(
 
 
 def yield_channels(report: YieldReport) -> tuple[Channel, Channel]:
-    """Channels of a :class:`~repro.bist.montecarlo.YieldReport`."""
-    verdicts = list(report.verdicts)
+    """Channels of a :class:`~repro.bist.montecarlo.YieldReport`.
+
+    The exact channel holds the report's own column lists, not copies:
+    a retained lot keeps one copy of its per-device columns.
+    """
+    verdicts = report.verdicts
     exact = {
         "verdicts": verdicts,
-        "truly_good": list(report.truly_good),
+        "truly_good": report.truly_good,
         "n_pass": verdicts.count("pass"),
         "n_fail": verdicts.count("fail"),
         "n_ambiguous": verdicts.count("ambiguous"),

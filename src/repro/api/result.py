@@ -63,7 +63,10 @@ class SessionStats:
     their workload has no vectorized form — distortion today (see
     :meth:`repro.engine.runner.BatchRunner._plan_backend`).  Every
     analyzer *configuration* vectorizes, so nonzero fallbacks name a
-    workload gap, never a configuration gap.
+    workload gap, never a configuration gap.  ``fallback_rows`` counts
+    the workload's ideal, stream-free state-space rows whose closed-form
+    window sums did not certify their counts, so the per-row path
+    counted them (:mod:`repro.engine.window_sums`).
     """
 
     backend: str
@@ -71,6 +74,7 @@ class SessionStats:
     cache_hits: int
     cache_misses: int
     fallbacks: int = 0
+    fallback_rows: int = 0
 
     @property
     def cache_hit_rate(self) -> float:
@@ -84,6 +88,7 @@ class SessionStats:
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "fallbacks": self.fallbacks,
+            "fallback_rows": self.fallback_rows,
         }
 
 

@@ -176,8 +176,13 @@ class Session:
     def _config(self, override: AnalyzerConfig | None) -> AnalyzerConfig:
         return override if override is not None else self.config
 
-    def _counters(self) -> tuple[int, int, int]:
-        return self.cache.hits, self.cache.misses, self.runner.fallbacks
+    def _counters(self) -> tuple[int, int, int, int]:
+        return (
+            self.cache.hits,
+            self.cache.misses,
+            self.runner.fallbacks,
+            self.runner.fallback_rows,
+        )
 
     def _span(self, workload: str, name: str) -> "Span | _NullSpan":
         """The per-workload-call trace span (``session.<workload>``)."""
@@ -191,7 +196,7 @@ class Session:
         name: str,
         channel_pair: tuple[dict, dict],
         raw: object,
-        counters: tuple[int, int, int],
+        counters: tuple[int, int, int, int],
         backend: str | None = None,
     ) -> SessionResult:
         if backend is None:
@@ -204,6 +209,7 @@ class Session:
             cache_hits=self.cache.hits - counters[0],
             cache_misses=self.cache.misses - counters[1],
             fallbacks=self.runner.fallbacks - counters[2],
+            fallback_rows=self.runner.fallback_rows - counters[3],
         )
         return SessionResult(
             workload=workload,

@@ -42,11 +42,23 @@ class DeviceTrial:
 class YieldReport:
     """Aggregate Monte-Carlo outcome, stored as columns: device ``i``'s
     BIST verdict is ``verdicts[i]`` and its true spec compliance
-    ``truly_good[i]``."""
+    ``truly_good[i]``.
 
-    verdicts: tuple[str, ...]
-    truly_good: tuple[bool, ...]
+    The columns are lists, and the report is the only copy of them: a
+    session result's exact channel holds these same list objects
+    (:func:`repro.api.channels.yield_channels`), so neither side may
+    mutate them.
+    """
+
+    verdicts: list[str]
+    truly_good: list[bool]
     ambiguous_passes: bool
+
+    def __post_init__(self) -> None:
+        for name in ("verdicts", "truly_good"):
+            column = getattr(self, name)
+            if type(column) is not list:
+                object.__setattr__(self, name, list(column))
 
     @classmethod
     def from_trials(cls, trials, ambiguous_passes: bool) -> YieldReport:

@@ -17,8 +17,11 @@ fails but some are inconclusive; pass otherwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
+
+import numpy as np
 
 from ..core.analyzer import NetworkAnalyzer
 from ..core.measurement import ratio_db
@@ -84,6 +87,18 @@ def point_verdict(
     )
 
 
+#: Verdicts by severity: a device takes its worst point's.
+_SEVERITY = ("pass", "ambiguous", "fail")
+#: Ratios :func:`~repro.core.measurement.ratio_db` clamps to its floor.
+_FLOOR_DB = -200.0
+_FLOOR_RATIO = 10.0 ** (_FLOOR_DB / 20.0)
+#: Relative distance from a limit within which an ``np.log10`` guess of
+#: an endpoint is re-decided with the scalar ``ratio_db``: ``2**-40``,
+#: thousands of ulps beyond the few that ``np.log10`` and ``math.log10``
+#: each lie from the exact logarithm.
+_GUESS_MARGIN = 2.0**-40
+
+
 def lot_verdicts(
     gains: Iterable[BoundedArray], limits: Iterable[tuple[float, float]]
 ) -> list[str]:
@@ -91,20 +106,47 @@ def lot_verdicts(
 
     ``gains`` holds one :class:`~repro.intervals.BoundedArray` per test
     frequency (element ``i`` is device ``i``'s linear gain) and
-    ``limits`` the matching ``(lo, hi)`` dB limits.  The endpoints go
-    through :func:`~repro.core.measurement.ratio_db` and the rules above
-    as Python floats, so each verdict is the one
-    :func:`point_verdict` and :attr:`BISTReport.verdict` give for the
-    boxed measurements, without building them.
+    ``limits`` the matching ``(lo, hi)`` dB limits.  Each verdict is the
+    one :func:`point_verdict` and :attr:`BISTReport.verdict` give for
+    the boxed measurements, without building them: the rules above run
+    on arrays of endpoints in dB (:func:`_endpoints_db`), whose every
+    comparison with a limit is the one
+    :func:`~repro.core.measurement.ratio_db`'s Python float makes.
     """
-    per_frequency = [
-        [
-            interval_verdict(ratio_db(lower), ratio_db(upper), lo, hi)
-            for lower, upper in zip(gain.lower.tolist(), gain.upper.tolist())
-        ]
-        for gain, (lo, hi) in zip(gains, limits)
-    ]
-    return [device_verdict(points) for points in zip(*per_frequency)]
+    worst = None
+    for gain, (lo, hi) in zip(gains, limits):
+        lower = _endpoints_db(gain.lower, lo, hi)
+        upper = _endpoints_db(gain.upper, lo, hi)
+        severity = np.where((lower >= lo) & (upper <= hi), 0, 1)
+        severity[(upper < lo) | (lower > hi)] = 2
+        worst = severity if worst is None else np.maximum(worst, severity)
+    if worst is None:
+        return []
+    return [_SEVERITY[s] for s in worst.tolist()]
+
+
+def _endpoints_db(ratios: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """``ratio_db`` of each endpoint, as far as comparisons with ``lo``
+    and ``hi`` can tell: guessed with ``np.log10``, and recomputed with
+    the scalar ``ratio_db`` wherever the guess is not finite or lies
+    within ``_GUESS_MARGIN`` (relative) of a limit.  Elsewhere the guess
+    and the scalar value differ by a few ulps, far less than their
+    distance to either limit, so they fall on the same side of both.
+    """
+    ratios = np.asarray(ratios, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        db = 20.0 * np.log10(ratios)
+    db[ratios <= _FLOOR_RATIO] = _FLOOR_DB
+    near = ~np.isfinite(db)
+    for limit in (lo, hi):
+        if not math.isfinite(limit):  # every finite guess compares exactly
+            continue
+        near |= np.abs(db - limit) <= _GUESS_MARGIN * np.maximum(
+            np.abs(db), abs(limit)
+        )
+    for i in np.flatnonzero(near).tolist():
+        db[i] = ratio_db(float(ratios[i]), _FLOOR_DB)
+    return db
 
 
 @dataclass(frozen=True)

@@ -90,6 +90,7 @@ import sys
 import time
 
 from .api import ExecutionPolicy, Session
+from .obs import TraceRecorder
 from .bist.limits import SpecMask
 from .bist.montecarlo import default_yield_config
 from .bist.program import BISTProgram
@@ -1093,6 +1094,21 @@ _COMMANDS = {
 }
 
 
+class _InvocationRecorder(TraceRecorder):
+    """A trace recorder that keeps every metric registry attached to it
+    alive.  A :class:`~repro.obs.TraceRecorder` holds registries weakly,
+    and the sessions a subcommand builds are gone by the time the
+    invocation's trace is written; one invocation attaches few."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._kept: list = []
+
+    def attach_metrics(self, registry) -> None:
+        super().attach_metrics(registry)
+        self._kept.append(registry)
+
+
 def main(argv=None) -> int:
     """Entry point (``python -m repro ...``)."""
     parser = build_parser()
@@ -1101,14 +1117,13 @@ def main(argv=None) -> int:
     if not trace_path:
         return _COMMANDS[args.command](args)
 
-    from .obs import TraceRecorder
     from .reporting.export import trace_to_jsonl
 
     # One recorder for the whole invocation: the session (or scenario
     # harness) the subcommand builds picks it up via args._obs, and the
     # file is written even when the command fails partway — a trace of
     # a failed run is exactly when you want one.
-    recorder = TraceRecorder()
+    recorder = _InvocationRecorder()
     args._obs = recorder
     try:
         return _COMMANDS[args.command](args)

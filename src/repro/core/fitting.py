@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from ..core.bode import BodeResult
 from ..errors import ConfigError, EvaluationError
@@ -88,6 +87,8 @@ def fit_second_order_lowpass(
 
     def residuals(params):
         return (_model_mag_db(params, f_used) - g_used) * w_used
+
+    from scipy.optimize import least_squares  # ~45 MB; only fits need it
 
     result = least_squares(residuals, x0, method="lm", max_nfev=2000)
     if not result.success:

@@ -54,7 +54,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.signal import lfilter
 
 from ..errors import ConfigError
 from ..signals.waveform import Waveform
@@ -486,6 +485,8 @@ class StateSpaceDUT(DUT):
         u = waveform.samples
         n = len(u)
         if not np.any(self._x):
+            from scipy.signal import lfilter  # see PopulationMeasurer._row_filler
+
             num, den = self._zoh_transfer(waveform.dt)
             out = lfilter(num[0], den, u)
             x = np.zeros(self.order)

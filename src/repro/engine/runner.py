@@ -233,6 +233,7 @@ class BatchRunner:
         self._batches = self.metrics.counter("engine.batches")
         self._jobs = self.metrics.counter("engine.jobs")
         self._fallbacks = self.metrics.counter("engine.fallbacks")
+        self._fallback_rows = self.metrics.counter("engine.closed_form.fallback_rows")
         self.last_stats: BatchStats | None = None
         self._executor: ProcessPoolExecutor | None = None
         self._last_effective_workers = 1
@@ -258,6 +259,12 @@ class BatchRunner:
     def fallbacks(self) -> int:
         """Batches forced off the vectorized backend (``engine.fallbacks``)."""
         return self._fallbacks.value
+
+    @property
+    def fallback_rows(self) -> int:
+        """Ideal rows the closed form left to the per-row path
+        (``engine.closed_form.fallback_rows``)."""
+        return self._fallback_rows.value
 
     def _chunk_bounds(self, n: int) -> list[tuple[int, int]]:
         """Device-axis shard boundaries for a batch of ``n`` jobs."""
@@ -473,7 +480,9 @@ class BatchRunner:
         """
         if used != "vectorized":
             return None
-        return vectorized.PopulationMeasurer(config, m_periods, calibration)
+        return vectorized.PopulationMeasurer(
+            config, m_periods, calibration, metrics=self.metrics
+        )
 
     # ------------------------------------------------------------------
     # Frequency sweeps

@@ -37,19 +37,25 @@ operations:
   recovery the population path never observes), its coefficients
   indexed out of the stacked arrays; rows without a model go through
   :meth:`~repro.dut.base.DUT.batch_response`.
-* **The wide-lot kernel.**  A call without job streams whose two
-  channels are ideal (with a power-of-two ``vref``) counts each
-  state-space stack of at least ``_WIDE_ROWS`` rows — wide yield lots —
-  in one time loop over device-axis vectors instead (:func:`_wide_sums`):
-  :class:`_DF2T` repeats ``lfilter``'s transposed direct-form-II
-  operations for every row at once on the shared stimulus, and the loop
-  accumulates the two prefix sums the closed form reads, so no response,
-  modulated copy or block buffer is written.  The sums come out bit for
-  bit, so the counts
-  (:meth:`~repro.evaluator.sigma_delta.FirstOrderSigmaDelta.window_counts`)
-  equal the per-row path's.  Rows whose window leaves the input range,
-  narrower stacks, rows without a model, and every call with noise
-  streams or non-ideal channels take the per-row path.
+* **Closed-form window sums.**  A call without job streams whose two
+  channels are ideal counts each state-space stack of at least
+  ``_CLOSED_FORM_ROWS`` rows without filtering it
+  (:meth:`PopulationMeasurer._closed_form_counts`): an ideal channel's
+  count needs only the floors of two prefix sums of its window, and
+  :class:`~repro.engine.window_sums.WindowSums` takes both for every
+  row at once in closed form — the periodic steady state by Parseval
+  over the stimulus period's DFT bins, one geometric transient per
+  pole, and a bound, not a computation, for the stimulus's first
+  periods.  Each sum comes with a rigorous bound on its distance from
+  the per-row path's floating-point sum, and a row is counted from the
+  closed form only when it is certainly in range and every floor it
+  reads lies further from an integer than that bound.  Every other row
+  of the stack (close or repeated poles, near-integer floor arguments,
+  a possible overload), narrower stacks, rows without a model, and
+  every call with noise streams or non-ideal channels take the per-row
+  path.  The measurer's ``engine.closed_form.rows`` and
+  ``engine.closed_form.fallback_rows`` counters say how many rows went
+  each way.
 * **Population-batched modulators.**  Each channel of a row block is
   one call of
   :meth:`~repro.evaluator.sigma_delta.FirstOrderSigmaDelta.signatures`,
@@ -76,7 +82,8 @@ operations:
   form; sweeps and fault campaigns box them into per-device
   measurements (:meth:`PopulationMeasurer.box`), while a yield lot
   judges the gain arrays, split per probe, with the go/no-go rule on
-  Python floats.
+  arrays of dB endpoints whose every comparison with a limit is the
+  scalar rule's (:func:`repro.bist.program.lot_verdicts`).
 
 Equivalence contract
 --------------------
@@ -86,9 +93,11 @@ device owns its stream and no block holds two rows of one stream, so
 block-by-block draws keep every stream's per-probe render, power-up
 state, channel noise order; a call whose devices share a stream is
 rejected), the shared stimulus prefix is
-bit-identical to each job's private render, the wide-lot kernel's
-responses are ``lfilter``'s bit for bit, and the batched
-modulators produce bit-identical bitstreams — so the
+bit-identical to each job's private render, a count taken from
+closed-form window sums is certified to be the one the per-row path's
+``lfilter`` response gives (its floors lie further from an integer
+than the bounded distance between the two paths' sums), and the
+batched modulators produce bit-identical bitstreams — so the
 integer signatures (and verdict-relevant counts) are **exactly equal**
 to the reference backend's.  The derived float intervals go through
 NumPy's elementwise ``arctan2``/``hypot`` instead of :mod:`math`'s,
@@ -112,10 +121,10 @@ runs on this backend.
 from __future__ import annotations
 
 import math
+import threading
 from typing import NamedTuple
 
 import numpy as np
-from scipy.signal import lfilter
 
 from ..clocking.master import GENERATOR_STEPS, OVERSAMPLING_RATIO, ClockTree
 from ..clocking.sequencer import ModulationSequence
@@ -132,8 +141,10 @@ from ..evaluator.signatures import SignaturePair
 from ..generator.design import PAPER_CAPACITORS
 from ..generator.sinewave_generator import SinewaveGenerator
 from ..intervals import BoundedArray, atan2_array, hypot_array
+from ..obs.metrics import MetricRegistry
 from ..sc.mismatch import MismatchModel
 from .seeding import derive_seed
+from .window_sums import WindowSums, floors_agree
 
 
 def _job_rng(
@@ -185,178 +196,16 @@ def _modulated(q: np.ndarray, responses: np.ndarray) -> np.ndarray:
 _BLOCK_DEVICES = 64
 
 #: Fewest rows of one state-space stack for which an ideal call counts
-#: that stack with the wide-lot kernel (:func:`_wide_sums`) instead of
-#: one ``lfilter`` per row.  The kernel's cost is a time loop of NumPy
-#: calls, so narrow stacks lose to the per-row path.  Measured on
-#: ``PopulationMeasurer.measure`` for yield_lot-shaped calls (3 probes,
-#: m = 20; 2-vCPU Xeon, one BLAS thread, CPython 3.11.7, NumPy 2.4.6),
-#: median kernel/per-row time ratio of 9 interleaved runs — 900 rows:
-#: 1.31, 1200: 1.17, 1500: 0.99, 1800: 0.91, 2100: 0.82, 3000: 0.66,
-#: 5100: 0.53.  EXPERIMENTS.md has the table.
-_WIDE_ROWS = 1800
-
-
-class _DF2T:
-    """SciPy ``lfilter``'s transposed direct-form-II recurrence, zero
-    initial state, over the rows of one filter order at once: one shared
-    input sample per step, each row with its own coefficients.
-
-    ``num`` and ``den`` are ``(rows x (order + 1))``.  Each step repeats
-    ``lfilter``'s IEEE operations in its order, after its normalization
-    by ``a0 = den[:, 0]``::
-
-        y = z[0] + b[0] x
-        z[i] = (z[i + 1] + x b[i + 1]) - y a[i + 1]    i < order - 1
-        z[order - 1] = x b[order] - y a[order]
-
-    so every output equals ``lfilter(num[r], den[r], x)`` bit for bit.
-    """
-
-    def __init__(self, num: np.ndarray, den: np.ndarray) -> None:
-        a0 = den[:, :1]
-        self.b = np.ascontiguousarray((num / a0).T)
-        self.a = np.ascontiguousarray((den / a0).T[1:])
-        order, rows = self.a.shape
-        self.z = np.zeros((order, rows))
-        self._z = np.zeros((order, rows))
-        self._xb = np.empty((order + 1, rows))
-        self._ay = np.empty((order, rows))
-        self.y = np.empty(rows)
-
-    def step(self, x: float, lo: int = 0) -> np.ndarray:
-        """Feed sample ``x`` to rows ``lo:`` and return their outputs.
-
-        ``lo`` may only grow between steps: the rows before it are
-        finished and their state is no longer kept.
-        """
-        z, out = self.z[:, lo:], self._z[:, lo:]
-        xb, ay, y = self._xb[:, lo:], self._ay[:, lo:], self.y[lo:]
-        np.multiply(self.b[:, lo:], x, out=xb)
-        np.add(z[0], xb[0], out=y)
-        np.multiply(self.a[:, lo:], y, out=ay)
-        np.add(z[1:], xb[1:-1], out=out[:-1])
-        np.subtract(out[:-1], ay[:-1], out=out[:-1])
-        np.subtract(xb[-1], ay[-1], out=out[-1])
-        self.z, self._z = self._z, self.z
-        return y
-
-
-def _wide_sums(
-    num: np.ndarray,
-    den: np.ndarray,
-    leads: np.ndarray,
-    stimulus: np.ndarray,
-    q: np.ndarray,
-    vref: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The two prefix sums of both channels' closed form for rows of one
-    order, filtered together without writing a response.
-
-    Row ``r`` is the zero-state response of ``(num[r], den[r])`` to the
-    shared held ``stimulus``, measured over samples ``leads[r] * n ... +
-    mn`` (``n = OVERSAMPLING_RATIO``), where ``q`` holds the two
-    channels' ``mn``-sample modulation.  Returns ``(first, total,
-    in_range)``: ``first[c, r]`` and ``total[c, r]`` are ``T[mn/2 - 2]``
-    and ``T[mn - 2]`` of ``t = (q[c] y / vref + 1) / 2``, summed in the
-    sequential order of :func:`~repro.evaluator.sigma_delta._prefix_sums`,
-    and ``in_range[r]`` says the row's window stays inside ``+/-vref``.
-
-    One :class:`_DF2T` loop runs every row with rows sorted by lead-in,
-    so at each step the rows still filtering, those inside their window
-    and those in its second half are contiguous slices.  Lead-ins are
-    whole periods and ``q`` repeats every ``n`` samples within each half
-    of the window, so a row's modulation sign at step ``k`` is ``q[c, k
-    mod n]`` in the first half and ``q[c, mn/2 + (k - mn/2) mod n]`` in
-    the second (with odd ``m`` the halves are not whole periods).
-
-    ``vref`` is a power of two (``2**-512`` to ``2**510``).  The loop
-    adds ``vref + y`` and ``vref - y``, each ``vref (1 +/- y / vref)``
-    rounded, and scales ``first`` and ``total`` by ``0.5 / vref`` once
-    at the end: scaling by a power of two commutes with every rounded
-    addition (no in-range partial sum is subnormal), so the sums equal
-    those of the terms ``((q y) / vref + 1) * 0.5`` bit for bit.  Each
-    lead group takes ``first`` as a snapshot at its step ``mn/2 - 2``.
-    A row counts as in range while both terms stay below ``2 vref``:
-    ``|y| > vref`` forces one of them to at least that, and a NaN fails
-    the test, so the rare row with a sample at ``+/-vref`` itself also
-    goes to the per-row path.
-    """
-    n = OVERSAMPLING_RATIO
-    mn = q.shape[1]
-    half = mn // 2
-    order = np.argsort(leads, kind="stable")
-    start = leads[order] * n
-    steps = int(start[-1]) + mn
-    if len(stimulus) < steps:
-        raise ConfigError(
-            f"wide-lot kernel: stimulus holds {len(stimulus)} samples, "
-            f"its rows need {steps}"
-        )
-    # At step k: rows [:done] have finished, [done:last] take their last
-    # sample, [:second] are in the second half of their window and
-    # [:begun] inside it.  ``snapshots`` maps each lead group's step
-    # mn/2 - 2 to its rows.
-    at = np.arange(steps)
-    done = np.searchsorted(start, at - mn + 1, "left").tolist()
-    last = np.searchsorted(start, at - mn + 1, "right").tolist()
-    second = np.searchsorted(start, at - half, "right").tolist()
-    begun = np.searchsorted(start, at, "right").tolist()
-    group_starts = np.unique(start)
-    snapshots = dict(
-        zip(
-            (group_starts + half - 2).tolist(),
-            zip(
-                np.searchsorted(start, group_starts, "left").tolist(),
-                np.searchsorted(start, group_starts, "right").tolist(),
-            ),
-        )
-    )
-    # ``t`` holds each window row's term for sign +1 (row 0) and -1
-    # (row 1).  Per phase of each half, the rows of ``t`` the two
-    # channels add, as one index that broadcasts onto ``sums``.
-    pick = {
-        (1, 1): 0,
-        (-1, -1): 1,
-        (1, -1): slice(None),
-        (-1, 1): slice(None, None, -1),
-    }
-    signs = [pick[c1, c2] for c1, c2 in q.astype(int).T.tolist()]
-    first_half = signs[:n]
-    second_half = [signs[half + (phase - half) % n] for phase in range(n)]
-    filt = _DF2T(num[order], den[order])
-    rows = len(order)
-    t = np.empty((2, rows))
-    peak = np.full((2, rows), -np.inf)
-    sums = np.zeros((2, rows))
-    first = np.empty((2, rows))
-    for k, x in enumerate(stimulus[:steps].tolist()):
-        lo = done[k]
-        y = filt.step(x, lo)
-        hi = begun[k]
-        if hi <= lo:
-            continue
-        window = slice(lo, hi)
-        np.add(y[: hi - lo], vref, out=t[0, window])
-        np.subtract(vref, y[: hi - lo], out=t[1, window])
-        np.maximum(peak[:, window], t[:, window], out=peak[:, window])
-        phase = k % n
-        mid = second[k]
-        if hi > mid:
-            part = slice(mid, hi)
-            sums[:, part] += t[first_half[phase], part]
-        if mid > last[k]:
-            part = slice(last[k], mid)
-            sums[:, part] += t[second_half[phase], part]
-        group = snapshots.get(k)
-        if group is not None:
-            first[:, group[0] : group[1]] = sums[:, group[0] : group[1]]
-    scale = 0.5 / vref
-    first *= scale
-    sums *= scale
-    in_range = (peak < 2.0 * vref).all(axis=0)
-    unsorted = np.empty_like(order)
-    unsorted[order] = np.arange(rows)
-    return first[:, unsorted], sums[:, unsorted], in_range[unsorted]
+#: that stack from closed-form window sums (:meth:`PopulationMeasurer._closed_form_counts`)
+#: instead of one ``lfilter`` per row.  The closed form's cost is about
+#: 1.7 ms per stack plus ~7 us per row, so narrow stacks lose to the
+#: per-row path.  Measured on ``PopulationMeasurer.measure`` for
+#: yield_lot-shaped calls (3 probes, m = 20; 2-vCPU Xeon, one BLAS
+#: thread, CPython 3.11.7, NumPy 2.4.6), median closed/per-row time
+#: ratio of 7 interleaved runs — 12 rows: 1.41, 24: 1.08-1.12, 30: 0.95,
+#: 33: 0.92, 36: 0.87, 48: 0.75, 96: 0.53, 384: 0.33, 3000: 0.20.
+#: EXPERIMENTS.md has the table.
+_CLOSED_FORM_ROWS = 32
 
 
 class _RowPlan(NamedTuple):
@@ -400,6 +249,10 @@ class PopulationMeasurer:
     it is consumed probe by probe in exactly the order the reference
     per-job path consumes it, which is what makes the batched results
     match the reference backend.
+
+    ``metrics`` receives the ``engine.closed_form.rows`` and
+    ``engine.closed_form.fallback_rows`` counters (the runner passes its
+    registry).
     """
 
     def __init__(
@@ -407,6 +260,7 @@ class PopulationMeasurer:
         config: AnalyzerConfig,
         m_periods: int | None,
         calibration: CalibrationResult,
+        metrics: MetricRegistry | None = None,
     ) -> None:
         self.config = config
         self.m_periods = m_periods if m_periods is not None else config.m_periods
@@ -436,20 +290,22 @@ class PopulationMeasurer:
         self._looped_channels = not all(
             channel.is_leak_free() for channel in channels
         )
-        # The wide-lot kernel's condition: both channels take the closed
-        # form for every in-range window of a call without job streams,
-        # and their vref is a power of two (see _wide_sums).  Dividing
-        # by any other vref costs the kernel a pass per step (~8 % of
-        # its time on a perfbench chunk, EXPERIMENTS.md).
-        fraction, exponent = math.frexp(self.evaluator.vref)
-        self._wide_channels = (
-            fraction == 0.5
-            and abs(exponent) < 512
-            and all(
-                channel.vectorized and channel.is_ideal(False)
-                for channel in channels
-            )
+        # Both channels take the closed form for every in-range window
+        # of a call without job streams: such calls count state-space
+        # rows from closed-form window sums (see _counts).
+        self._closed_channels = all(
+            channel.vectorized
+            and channel.is_ideal(False)
+            and channel.vref == self.evaluator.vref
+            for channel in channels
         )
+        # Built on first use for the current render (_closed_form):
+        # only calls with a wide enough stack need it.
+        self._window_sums: WindowSums | None = None
+        self._window_sums_lock = threading.Lock()
+        metrics = metrics if metrics is not None else MetricRegistry()
+        self._closed_rows = metrics.counter("engine.closed_form.rows")
+        self._fallback_rows = metrics.counter("engine.closed_form.fallback_rows")
         self._generator: SinewaveGenerator | None = None
         self._stimulus = np.empty(0)
 
@@ -495,11 +351,12 @@ class PopulationMeasurer:
         generator renders per device from the template die built here
         (see :meth:`_noisy_held`).
 
-        This is the only method that changes the measurer: the render
-        only ever grows, so :meth:`measure` calls running concurrently
-        on one measurer (the chunks of one batch on a thread pool) only
-        read it, provided each call was reserved before it was handed
-        out.
+        This is the only method that changes the render: it only ever
+        grows, so :meth:`measure` calls running concurrently on one
+        measurer (the chunks of one batch on a thread pool) only read
+        it, provided each call was reserved before it was handed out.
+        The closed form's shared part for the render is built under a
+        lock on first use (:meth:`_closed_form`).
         """
         fwaves = [float(f) for f in fwaves]
         if self._generator is None:
@@ -612,11 +469,11 @@ class PopulationMeasurer:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every row's signature and overload counts.
 
-        In a call without job streams whose channels are both ideal, a
-        state-space stack with at least ``_WIDE_ROWS`` rows is counted
-        by the wide-lot kernel (:func:`_wide_sums`); its rows whose
-        window leaves the input range, and every other row, take the
-        per-row path below.
+        In a call without job streams whose channels are both ideal,
+        each state-space stack of at least ``_CLOSED_FORM_ROWS`` rows is
+        counted from closed-form window sums where they certify a row's
+        floors (:meth:`_closed_form_counts`); its other rows, and every
+        other row, take the per-row path below.
 
         The per-row path walks blocks of ``_BLOCK_DEVICES`` rows, in
         probe-major order, through one reused response buffer and counts
@@ -636,14 +493,19 @@ class PopulationMeasurer:
         i2 = np.empty(n_rows, dtype=np.int64)
         overload = np.empty(n_rows, dtype=np.int64)
         pending = np.ones(n_rows, dtype=bool)
-        if self._wide_channels and all(rng is None for rng in rngs):
+        if self._closed_channels and all(rng is None for rng in rngs):
             for rows, (num, den) in plan.transfers:
-                if len(rows) >= _WIDE_ROWS:
-                    counts, in_range = self._wide_counts(num, den, plan.leads[rows])
-                    done = rows[in_range]
-                    i1[done], i2[done] = counts[:, in_range]
-                    overload[done] = 0
-                    pending[done] = False
+                if len(rows) < _CLOSED_FORM_ROWS:
+                    continue
+                counts, certified = self._closed_form_counts(
+                    num, den, plan.leads[rows], np.zeros(len(rows))
+                )
+                done = rows[certified]
+                i1[done], i2[done] = counts
+                overload[done] = 0
+                pending[done] = False
+                self._closed_rows.inc(len(done))
+                self._fallback_rows.inc(len(rows) - len(done))
         rest = np.flatnonzero(pending)
         if self._looped_channels:
             block = devices
@@ -661,31 +523,55 @@ class PopulationMeasurer:
             )
         return i1, i2, overload
 
-    def _wide_counts(
-        self, num: np.ndarray, den: np.ndarray, leads: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Both channels' signatures ``(2 x rows)`` of one stack's rows
-        from the wide-lot kernel, and which rows stayed in range (the
-        others' counts are meaningless)."""
-        channels = (self.evaluator.channel1, self.evaluator.channel2)
-        first, total, in_range = _wide_sums(
-            num,
-            den,
-            leads,
-            self._stimulus,
-            np.stack([self._q1, self._q2]),
-            self.evaluator.vref,
-        )
-        u0 = np.zeros(len(leads))
-        counts = np.stack(
-            [
-                channel.window_counts(
-                    first[c], total[c], u0, self.mn, self.config.chopped
+    def _closed_form(self) -> WindowSums:
+        """The closed form's shared part for the current render
+        (:class:`~repro.engine.window_sums.WindowSums`: the stimulus
+        period, its measured deviation in the first periods, the
+        Parseval vectors), built on first use.  A stale one, for a
+        shorter render, is replaced, never cleared: calls reserved
+        earlier may still be reading it, and it covers their rows."""
+        stimulus = self._stimulus
+        with self._window_sums_lock:
+            if self._window_sums is None or self._window_sums.samples < len(stimulus):
+                self._window_sums = WindowSums(
+                    stimulus,
+                    np.stack([self._q1, self._q2]),
+                    self.evaluator.vref,
+                    OVERSAMPLING_RATIO,
                 )
-                for c, channel in enumerate(channels)
-            ]
-        )
-        return counts, in_range
+            return self._window_sums
+
+    def _closed_form_counts(
+        self, num: np.ndarray, den: np.ndarray, leads: np.ndarray, u0: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Both channels' signatures ``(2 x certified rows)`` of one
+        stack's rows from their closed-form window sums, with power-up
+        states ``u0``, and which rows are certified: in range, in the
+        closed-form branch, and with every floor their counts read
+        further from an integer than the sums' error bound.
+        """
+        sums = self._closed_form().sums(num, den, leads)
+        certified = sums.in_range.copy()
+        chopped = self.config.chopped
+        channels = (self.evaluator.channel1, self.evaluator.channel2)
+        no_overload = np.zeros(len(leads), dtype=np.int64)
+        for c, channel in enumerate(channels):
+            certified &= channel._closed_form_columns(True, no_overload, u0)
+            y0 = u0 / (2.0 * channel.gain * channel.vref)
+            certified &= floors_agree(y0, sums.total[c], sums.total_bound[c])
+            if chopped:
+                certified &= floors_agree(y0, sums.first[c], sums.first_bound[c])
+        counts = [
+            channel.window_counts(
+                sums.first[c][certified],
+                sums.total[c][certified],
+                u0[certified],
+                self.mn,
+                chopped,
+            )
+            for c, channel in enumerate(channels)
+        ]
+        return np.stack(counts), certified
 
     def _block_counts(
         self, rngs: list, responses: np.ndarray
@@ -779,6 +665,11 @@ class PopulationMeasurer:
                 return stimulus[: (lead + m) * n]
 
         def fill(rows: np.ndarray, out: np.ndarray) -> None:
+            # Imported here: SciPy's signal package costs ~45 MB and
+            # ~0.3 s to import, and a process whose rows all take the
+            # closed form never needs it.
+            from scipy.signal import lfilter
+
             for row, r, lead, s, k in zip(
                 out,
                 rows.tolist(),

@@ -494,9 +494,10 @@ class FirstOrderSigmaDelta:
         (:func:`_prefix_sums`), with initial states ``u0``.
 
         :meth:`_closed_form_counts` takes its sums from the windows;
-        the population backend's wide-lot kernel
-        (``repro.engine.vectorized``) accumulates the same sums in the
-        same order inside its filter loop, and both count here.
+        the population backend (``repro.engine.vectorized``) also counts
+        here from closed-form window sums
+        (:mod:`repro.engine.window_sums`), for rows whose floors those
+        sums certify.
         """
         y0 = u0 / (2.0 * self.gain * self.vref)
         # Cumulative ones through sample k: floor(y0 + T_k) + 1, where T_k

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -206,7 +207,9 @@ class TraceRecorder:
         self._lock = threading.Lock()
         self._local = threading.local()
         self._roots: list[Span] = []
-        self._registries: list[MetricRegistry] = []
+        # Weak: a plain entry point's throwaway session attaches its
+        # registry here, which must not outlive the session.
+        self._registries: list[weakref.ref[MetricRegistry]] = []
 
     # ------------------------------------------------------------------
     def span(self, name: str, kind: str = "span",
@@ -214,14 +217,28 @@ class TraceRecorder:
         return Span(self, name, kind, exact)
 
     def attach_metrics(self, registry: MetricRegistry) -> None:
-        """Register a metrics source to embed in exported traces."""
+        """Register a metrics source to embed in exported traces.
+
+        The recorder holds it weakly: exported traces embed the metrics
+        of the registries still alive, in the order they were attached.
+        """
         if not isinstance(registry, MetricRegistry):
             raise ConfigError(
                 f"attach_metrics expects a MetricRegistry, got {registry!r}"
             )
         with self._lock:
-            if not any(r is registry for r in self._registries):
-                self._registries.append(registry)
+            if not any(r is registry for r in self._live_registries()):
+                self._registries.append(weakref.ref(registry))
+
+    def _live_registries(self) -> list[MetricRegistry]:
+        """The attached registries still alive, dropping the dead ones'
+        references; call under ``self._lock``."""
+        live = [ref() for ref in self._registries]
+        self._registries = [
+            ref for ref, registry in zip(self._registries, live)
+            if registry is not None
+        ]
+        return [registry for registry in live if registry is not None]
 
     # ------------------------------------------------------------------
     def _stack(self) -> list:
@@ -256,7 +273,7 @@ class TraceRecorder:
         records: list[dict] = []
         with self._lock:
             roots = list(self._roots)
-            registries = list(self._registries)
+            registries = self._live_registries()
         counts: dict[tuple, int] = {}
         for root in roots:
             self._flatten(root, None, counts, records)

@@ -134,6 +134,35 @@ class TestMetricsAttachment:
         recorder.attach_metrics(first)  # identity-deduped
         assert recorder.trace().metrics["hits"]["value"] == 5
 
+    def test_registries_are_held_weakly(self):
+        """Plain entry points each attach a throwaway session's registry
+        to the installed recorder: the recorder must not keep them
+        alive, while a live session's metrics still reach the trace."""
+        import gc
+
+        from repro.api import Session
+        from repro.bist.coverage import fault_coverage
+        from repro.bist.limits import SpecMask
+        from repro.bist.program import BISTProgram
+        from repro.dut.active_rc import ActiveRCLowpass
+        from repro.dut.faults import ParametricFault
+
+        golden = ActiveRCLowpass.from_specs(cutoff=1000.0)
+        freqs = [300.0, 1000.0]
+        program = BISTProgram(
+            SpecMask.from_golden(golden, freqs, tolerance_db=2.0), freqs, m_periods=8
+        )
+        recorder = TraceRecorder()
+        with use_recorder(recorder):
+            live = Session(golden)
+            live.runner.metrics.counter("live.marker").inc(7)
+            for _ in range(5):
+                fault_coverage(golden, [ParametricFault("c1", 0.5)], program)
+            gc.collect()
+            trace = recorder.trace()
+        assert [ref() for ref in recorder._registries] == [live.runner.metrics]
+        assert trace.metrics["live.marker"]["value"] == 7
+
     def test_no_registries_means_no_metrics(self):
         assert TraceRecorder().trace().metrics is None
 
